@@ -1,9 +1,8 @@
-"""Task-assignment job: distributed N/D/U_EAI aggregation + Algorithm 1.
+"""Task-assignment job: a TDH Spark fit, then EAI's Algorithm 1.
 
-The heavy statistics of Lemma 4.1 — the Eq. (9) numerator/denominator
-tables and the per-object upper bound — come from the TDH Spark fit; the
-heap phase of Algorithm 1 is inherently sequential and runs on the
-collected O(|O|) frontier.
+The Eq. (9) numerator/denominator tables come from the TDH Spark fit;
+the Lemma 4.1 upper bound and the heap phase of Algorithm 1, which is
+inherently sequential, run locally on the collected result.
 
 Usage: spark-submit jobs/assign_tasks.py [--dataset bp|her] [--sf 0.1] [--k 5]
 """

@@ -4,7 +4,7 @@ The central object is the per-(worker, object) *answer likelihood
 matrix* ``A[v', v] = P(v_o^w = v' | v_o^* = v)``:
 
 * with a TDH result we evaluate Eq. (3)/(4) from ``psi_w`` and the
-  cached per-object popularity statistics;
+  fit's compiled problem (:mod:`repro.core.candidates`);
 * with baseline results (DOCS/LCA/ACCU/POPACCU) we use the symmetric
   one-coin model implied by their estimated worker accuracy.
 
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.core.candidates import Problem, expand
 from repro.core.result import InferenceResult
 
 
@@ -29,14 +30,23 @@ class AssignContext:
     k: int
     answered: dict[str, set[str]]  # object -> workers who already answered it
     rng: np.random.Generator
-    object_info: dict | None = None  # TDH per-object structure (popularity etc.)
     mu_map: dict[str, dict[str, float]] = field(default_factory=dict)
+    # TDH results only: the fit's compiled problem and its mu/N (per cid)
+    # and D (per object) arrays
+    problem: Problem | None = field(init=False, default=None)
+    mu: np.ndarray | None = field(init=False, default=None)
+    N: np.ndarray | None = field(init=False, default=None)
+    D: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         if not self.mu_map:
             self.mu_map = self.result.mu_map()
-        if self.object_info is None:
-            self.object_info = self.result.extras.get("object_info")
+        self.problem = self.result.extras.get("problem")
+        if self.problem is not None:
+            self._obj_code = {o: i for i, o in enumerate(self.problem.objects)}
+            self.mu = self.result.mu["mu"].to_numpy(dtype=float)
+            self.N = self.result.N["N"].to_numpy(dtype=float)
+            self.D = self.result.D["D"].to_numpy(dtype=float)
         self._psi_cache: dict[str, np.ndarray] = {}
         if self.result.psi is not None:
             for _, r in self.result.psi.iterrows():
@@ -51,7 +61,8 @@ class AssignContext:
                     self.result.worker_accuracy["acc"].astype(float),
                 )
             )
-        self._basis_cache: dict[str, tuple] = {}
+        self._pairs = None
+        self._basis_cache: dict[str, np.ndarray] = {}
         self._mu_vec_cache: dict[str, tuple[list[str], np.ndarray]] = {}
 
     @property
@@ -66,46 +77,33 @@ class AssignContext:
         """Scalar worker accuracy for one-coin worker models."""
         return self._acc_cache.get(w, default)
 
-    def likelihood_basis(self, o: str):
-        """Per-object basis (B1, B2, B3) with A = psi1·B1 + psi2·B2 + psi3·B3.
+    def cands(self, o: str) -> tuple[int, slice]:
+        """Object code of ``o`` and the cid slice of its candidates."""
+        i = self._obj_code[o]
+        s = int(self.problem.start[i])
+        return i, slice(s, s + int(self.problem.nV[i]))
 
-        Eq. (3)/(4) is linear in psi, so the data-dependent parts are
-        computed once per object per round and reused for every worker.
+    def likelihood_basis(self, o: str) -> np.ndarray:
+        """Per-object basis (B1, B2, B3) with A = psi1·B1 + psi2·B2 + psi3·B3;
+        rows are the answered value v', columns the truth v.
+
+        Eq. (3)/(4) is linear in psi, so the basis is the worker-side
+        Eq. (1)–(4) kernel run once per round over every candidate pair
+        (v', v) of every object, and reused for every worker.
         """
         b = self._basis_cache.get(o)
         if b is None:
-            b = _likelihood_basis(self.object_info[o])
+            p = self.problem
+            if self._pairs is None:
+                self._pairs = expand(p, np.arange(len(p.cand)), popularity=True)
+            row, cand, rel, coef = self._pairs
+            _, sl = self.cands(o)
+            lo, hi = np.searchsorted(row, [sl.start, sl.stop])
+            K = sl.stop - sl.start
+            b = np.zeros((3, K, K))
+            b[rel[lo:hi] - 1, row[lo:hi] - sl.start, cand[lo:hi] - sl.start] = coef[lo:hi]
             self._basis_cache[o] = b
         return b
-
-
-def _likelihood_basis(info: dict):
-    K = len(info["values"])
-    cnt, gen_cnt, S = info["cnt"], info["gen_cnt"], info["S"]
-    oh = info["oh"]
-    B1 = np.eye(K)
-    B2 = np.zeros((K, K))
-    B3 = np.zeros((K, K))
-    if oh:
-        for v, vp in info["anc"]:  # vp ∈ G_o(v): generalized truth answer
-            B2[vp, v] = cnt[vp] / max(gen_cnt[v], 1e-12)
-        den = np.maximum(S - cnt - gen_cnt, 1e-12)  # per truth column v
-        B3 = np.outer(cnt, 1.0 / den)
-        B3[np.eye(K, dtype=bool)] = 0.0
-        for v, vp in info["anc"]:
-            B3[vp, v] = 0.0
-    else:
-        B2 = np.eye(K)  # Eq. (4): exact match carries psi1 + psi2
-        den = np.maximum(S - cnt, 1e-12)
-        B3 = np.outer(cnt, 1.0 / den)
-        B3[np.eye(K, dtype=bool)] = 0.0
-    return B1, B2, B3
-
-
-def tdh_likelihood_matrix(info: dict, psi: np.ndarray) -> np.ndarray:
-    """Eq. (3)/(4) as a K×K matrix; rows = answered value v', cols = truth v."""
-    B1, B2, B3 = _likelihood_basis(info)
-    return psi[0] * B1 + psi[1] * B2 + psi[2] * B3
 
 
 def onecoin_likelihood_matrix(K: int, acc: float) -> np.ndarray:
@@ -119,13 +117,12 @@ def onecoin_likelihood_matrix(K: int, acc: float) -> np.ndarray:
 
 def answer_likelihood(ctx: AssignContext, w: str, o: str) -> tuple[list[str], np.ndarray]:
     """(candidate values, A matrix) for worker ``w`` on object ``o``."""
-    if ctx.result.psi is not None or (
-        ctx.object_info is not None and ctx.result.N is not None
-    ):
+    if ctx.problem is not None:
         psi = ctx.worker_psi(w)
         B1, B2, B3 = ctx.likelihood_basis(o)
+        _, sl = ctx.cands(o)
         return (
-            ctx.object_info[o]["values"],
+            list(ctx.problem.cand["value"][sl]),
             psi[0] * B1 + psi[1] * B2 + psi[2] * B3,
         )
     mu = ctx.mu_map[o]

@@ -21,21 +21,17 @@ import itertools
 
 import numpy as np
 
-from repro.assign.common import AssignContext, mu_vector
+from repro.assign.common import AssignContext
 
 
 def eai_quality(ctx: AssignContext, w: str, o: str) -> float:
     """EAI(w, o) per Eq. (14)–(18)."""
-    info = ctx.object_info[o]
-    values = info["values"]
-    K = len(values)
-    mu = mu_vector(ctx, o, values)
-    if K == 1:
+    i, sl = ctx.cands(o)
+    mu = ctx.mu[sl]
+    if len(mu) == 1:
         return 0.0
-    n_map = ctx.result.extras["_N_map"]
-    d_map = ctx.result.extras["_D_map"]
-    N = np.asarray([n_map[(o, v)] for v in values])
-    D = float(d_map[o])
+    N = ctx.N[sl]
+    D = float(ctx.D[i])
     psi = ctx.worker_psi(w)
     B1, B2, B3 = ctx.likelihood_basis(o)
     A = psi[0] * B1 + psi[1] * B2 + psi[2] * B3
@@ -50,28 +46,16 @@ def eai_quality(ctx: AssignContext, w: str, o: str) -> float:
 
 def u_eai(ctx: AssignContext, o: str) -> float:
     """Lemma 4.1 upper bound."""
-    mu = ctx.mu_map[o]
-    d_map = ctx.result.extras["_D_map"]
+    i, sl = ctx.cands(o)
     n_obj = len(ctx.mu_map)
-    return (1.0 - max(mu.values())) / (n_obj * (float(d_map[o]) + 1.0))
-
-
-def _ensure_nd_maps(ctx: AssignContext) -> None:
-    if "_N_map" in ctx.result.extras:
-        return
-    N, D = ctx.result.N, ctx.result.D
-    if N is None or D is None:
-        raise ValueError("EAI requires a TDH result with N/D tables")
-    ctx.result.extras["_N_map"] = {
-        (o, v): float(n) for o, v, n in N[["object", "value", "N"]].itertuples(index=False)
-    }
-    ctx.result.extras["_D_map"] = dict(zip(D["object"], D["D"].astype(float)))
+    return (1.0 - float(ctx.mu[sl].max())) / (n_obj * (float(ctx.D[i]) + 1.0))
 
 
 def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, list[str]]:
     """Algorithm 1 (with the Lemma 4.1 pruning; disable to measure its
     benefit, cf. Figure 13)."""
-    _ensure_nd_maps(ctx)
+    if ctx.N is None:
+        raise ValueError("EAI requires a TDH result with N/D tables")
     workers = sorted(ctx.workers, key=lambda w: -ctx.worker_psi(w)[0])
     # max-heap of (-U, o); tie-break by object id for determinism
     ub = {o: u_eai(ctx, o) for o in ctx.objects}

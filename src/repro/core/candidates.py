@@ -7,9 +7,21 @@ ancestors of ``v`` in the hierarchy (root excluded); ``D_o(v)`` its
 descendants. Both are derived from the per-object *ancestor-pair*
 relation ``(object, value, anc)`` produced here — either from a
 :class:`~repro.hierarchy.Hierarchy` or from the numeric rounding rule.
+
+:func:`compile_problem` integer-codes records and ancestor pairs into a
+:class:`Problem` (candidate ids, ``|V_o|``, ``|G_o(v)|``, ``O_H``, the
+popularity counts of Eq. 3–4) and validates them; :func:`code_answers`
+codes and validates worker answers against it. :func:`expand` is the one
+implementation of the data-dependent coefficients of Eq. (1)–(4): the
+local engine's E-step and the assigners' answer likelihood both use it.
+The Spark engine derives the same coefficients independently with joins,
+and the tests hold the two equal.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
 import pandas as pd
 
 from repro.hierarchy import Hierarchy
@@ -57,54 +69,144 @@ def numeric_ancestor_pairs_df(candidates: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["object", "value", "anc"])
 
 
-def object_info(
-    records: pd.DataFrame,
-    answers: pd.DataFrame | None,
-    anc_pairs: pd.DataFrame,
-) -> dict[str, dict]:
-    """Per-object candidate structure used by the task assigners.
+@dataclass(frozen=True)
+class Claims:
+    """One side's claims (source records or worker answers), integer-coded
+    and sorted by (object, agent)."""
 
-    Maps object → dict with:
+    cid: np.ndarray  # claimed candidate
+    agent: np.ndarray  # code of the source / worker, an index into ``agents``
+    agents: list[str]  # sorted names
 
-    * ``values``: sorted candidate list (local index space),
-    * ``anc``: set of (desc_idx, anc_idx) pairs within the candidates,
-    * ``cnt``: per-candidate source-claim counts (Pop numerators),
-    * ``gen_cnt``: sum of ``cnt`` over each candidate's ancestors,
-    * ``S``: |S_o|, ``oh``: whether o ∈ O_H,
-    * ``answered_by``: set of workers who already answered ``o``.
 
-    Everything needed to evaluate the worker answer likelihood
-    P(v'|v, psi_w) of Eq. (3)/(4) per object.
+@dataclass(frozen=True)
+class Problem:
+    """A TDH problem compiled from the source records.
+
+    Candidates are numbered (``cid``) in (object, value) order, so the
+    candidates of object ``i`` are the cids ``start[i] .. start[i]+nV[i]-1``.
+    """
+
+    cand: pd.DataFrame  # (object, value); row number = cid
+    index: pd.MultiIndex  # (object, value) -> cid lookup
+    objects: list[str]  # sorted; position = object code
+    obj_of_cand: np.ndarray  # object code of each cid
+    start: np.ndarray  # first cid of each object
+    nV: np.ndarray  # |V_o|
+    S: np.ndarray  # |S_o|: source claims per object
+    oh: np.ndarray  # o ∈ O_H: some candidate pair is ancestor–descendant
+    anc: np.ndarray  # (descendant cid, ancestor cid) pairs, sorted
+    nG: np.ndarray  # |G_o(v)| per cid
+    cnt: np.ndarray  # source claims per cid (the Pop2/Pop3 numerators)
+    gen_cnt: np.ndarray  # sum of ``cnt`` over G_o(v) per cid
+    sources: Claims
+
+
+def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
+    """Integer-code ``records`` (object, source, value) and ``anc_pairs``
+    (object, value, anc) into the arrays both TDH engines and the
+    assigners share.
+
+    Raises ``ValueError`` on a repeated (object, source) pair and on an
+    ancestor pair whose endpoints are not candidates of its object.
     """
     cand = candidate_sets(records)
-    info: dict[str, dict] = {}
-    for obj, grp in cand.groupby("object", sort=True):
-        values = list(grp["value"])
-        idx = {v: i for i, v in enumerate(values)}
-        info[obj] = {
-            "values": values,
-            "_idx": idx,
-            "anc": set(),
-            "cnt": pd.Series(0.0, index=range(len(values))).to_numpy(),
-            "gen_cnt": None,
-            "S": 0.0,
-            "oh": False,
-            "answered_by": set(),
-        }
-    for o, v in zip(records["object"], records["value"]):
-        info[o]["cnt"][info[o]["_idx"][v]] += 1.0
-        info[o]["S"] += 1.0
+    obj_of_cand, objects = pd.factorize(cand["object"], sort=True)
+    n_obj, n_cand = len(objects), len(cand)
+    index = pd.MultiIndex.from_frame(cand)
+    nV = np.bincount(obj_of_cand, minlength=n_obj)
+    anc = np.zeros((0, 2), dtype=np.int64)
     if len(anc_pairs):
-        for o, v, a in anc_pairs[["object", "value", "anc"]].itertuples(index=False):
-            i = info[o]
-            i["anc"].add((i["_idx"][v], i["_idx"][a]))
-            i["oh"] = True
-    for o, i in info.items():
-        g = i["cnt"] * 0.0
-        for d, a in i["anc"]:
-            g[d] += i["cnt"][a]
-        i["gen_cnt"] = g
-    if answers is not None and len(answers):
-        for o, w in zip(answers["object"], answers["worker"]):
-            info[o]["answered_by"].add(w)
-    return info
+        desc = index.get_indexer(pd.MultiIndex.from_arrays([anc_pairs["object"], anc_pairs["value"]]))
+        up = index.get_indexer(pd.MultiIndex.from_arrays([anc_pairs["object"], anc_pairs["anc"]]))
+        bad = np.flatnonzero((desc < 0) | (up < 0))
+        if len(bad):
+            o, v, a = anc_pairs[["object", "value", "anc"]].iloc[bad[0]]
+            raise ValueError(f"ancestor pair ({o},{v},{a}) not in candidate set")
+        key = np.unique(desc * n_cand + up)
+        anc = np.stack([key // n_cand, key % n_cand], axis=1)
+    oh = np.zeros(n_obj, dtype=bool)
+    oh[obj_of_cand[anc[:, 0]]] = True
+    sources = _code(index, records, "source")
+    cnt = np.bincount(sources.cid, minlength=n_cand).astype(float)
+    return Problem(
+        cand=cand,
+        index=index,
+        objects=list(objects),
+        obj_of_cand=obj_of_cand,
+        start=np.cumsum(nV) - nV,
+        nV=nV.astype(float),
+        S=np.bincount(obj_of_cand[sources.cid], minlength=n_obj).astype(float),
+        oh=oh,
+        anc=anc,
+        nG=np.bincount(anc[:, 0], minlength=n_cand).astype(float),
+        cnt=cnt,
+        gen_cnt=np.bincount(anc[:, 0], cnt[anc[:, 1]], minlength=n_cand),
+        sources=sources,
+    )
+
+
+def code_answers(problem: Problem, answers: pd.DataFrame) -> Claims:
+    """Integer-code worker answers (object, worker, value) against the
+    candidates of ``problem``.
+
+    Raises ``ValueError`` on a repeated (object, worker) pair and on a value
+    that is not a candidate of its object (answers select from ``V_o``).
+    """
+    return _code(problem.index, answers, "worker")
+
+
+def _code(index: pd.MultiIndex, claims: pd.DataFrame, agent_col: str) -> Claims:
+    if claims.duplicated(["object", agent_col]).any():
+        raise ValueError(f"at most one claim per (object, {agent_col}) is allowed")
+    claims = claims.sort_values(["object", agent_col])
+    cid = index.get_indexer(pd.MultiIndex.from_arrays([claims["object"], claims["value"]]))
+    bad = np.flatnonzero(cid < 0)
+    if len(bad):
+        o, v = claims[["object", "value"]].iloc[bad[0]]
+        raise ValueError(f"claimed value {v!r} not a candidate of {o!r}")
+    agent, agents = pd.factorize(claims[agent_col], sort=True)
+    return Claims(cid=cid, agent=agent, agents=list(agents))
+
+
+def expand(problem: Problem, claim_cid: np.ndarray, popularity: bool):
+    """The data-dependent coefficients of Eq. (1)–(4).
+
+    For claim ``i`` (claimed candidate ``claim_cid[i]``) and every candidate
+    ``v`` of its object, taken as the truth, emits the rows ``(row=i,
+    cand=v, rel, coef)`` with P(claim | v) = sum over the rows of
+    ``coef · phi[rel]`` (``psi`` for workers). ``rel`` is 1 exact, 2
+    generalized (claim ∈ G_o(v)), 3 wrong. ``popularity=False`` gives the
+    uniform source coefficients of Eq. (1)/(2), ``popularity=True`` the
+    Pop2/Pop3 worker coefficients of Eq. (3)/(4). For ``o ∉ O_H`` an exact
+    match carries ``phi1 + phi2`` (Eq. 2/4): a rel-1 row followed by a
+    rel-2 row. A non-positive denominator gives coefficient 0.
+
+    Rows come in claim order, then by ascending ``v``.
+    """
+    p = problem
+    n_cand = len(p.cand)
+    obj = p.obj_of_cand[claim_cid]
+    k = p.nV[obj].astype(np.int64)
+    row = np.repeat(np.arange(len(claim_cid)), k)
+    cand = np.repeat(p.start[obj], k) + np.arange(len(row)) - np.repeat(np.cumsum(k) - k, k)
+    claim, o = claim_cid[row], obj[row]
+    exact = cand == claim
+    general = np.isin(cand * n_cand + claim, p.anc[:, 0] * n_cand + p.anc[:, 1])
+    if popularity:
+        c2 = _ratio(p.cnt[claim], p.gen_cnt[cand])
+        c3 = _ratio(p.cnt[claim], p.S[o] - p.cnt[cand] - p.gen_cnt[cand])
+    else:
+        c2 = _ratio(1.0, p.nG[cand])
+        c3 = _ratio(1.0, p.nV[o] - p.nG[cand] - 1.0)
+    rel = np.where(exact, 1, np.where(general, 2, 3))
+    coef = np.where(exact, 1.0, np.where(general, c2, c3))
+    n = np.where(exact & ~p.oh[o], 2, 1)
+    row, cand, rel, coef = (np.repeat(x, n) for x in (row, cand, rel, coef))
+    rel[np.cumsum(n)[n == 2] - 1] = 2
+    return row, cand, rel, coef
+
+
+def _ratio(num, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else 0."""
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)

@@ -28,6 +28,11 @@ class InferenceResult:
     worker_accuracy:
         (worker, acc) — scalar worker reliability for algorithms with a
         symmetric worker model (used by QASCA/MB with baselines).
+    extras:
+        Algorithm-specific state. TDH results hold ``n_iter`` and the
+        compiled ``problem`` (:class:`repro.core.candidates.Problem`);
+        their ``mu`` and ``N`` rows are in the problem's candidate order
+        and ``D`` rows in its object order, which the EAI assigner relies on.
     """
 
     truths: pd.DataFrame

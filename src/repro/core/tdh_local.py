@@ -16,9 +16,12 @@ This engine is numerically identical to the Spark implementation in
 crowdsourcing round loop re-runs EM thousands of times on tiny deltas,
 where per-job Spark overhead would dominate (see DESIGN.md §3).
 
-Everything is represented with integer-coded numpy arrays; one EM
-iteration is a handful of ``np.bincount`` segment reductions over the
-expanded (claim × candidate) relation.
+The problem is compiled by :func:`repro.core.candidates.compile_problem`
+into integer-coded numpy arrays and each side's claims are expanded over
+their candidates by the Eq. (1)–(4) kernel
+:func:`repro.core.candidates.expand`; one EM iteration is a handful of
+``np.bincount`` segment reductions over that expanded relation. The
+compiled problem is returned in ``extras["problem"]`` for the assigners.
 """
 from __future__ import annotations
 
@@ -27,24 +30,39 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import object_info
+from repro.core.candidates import Claims, Problem, code_answers, compile_problem, expand
 from repro.core.result import InferenceResult, argmax_truths
 
 
 @dataclass
 class _Side:
-    """Expanded (claim × candidate) rows for one side (sources or workers)."""
+    """One side's claims (sources or workers) expanded over the candidates
+    of their objects by the Eq. (1)–(4) kernel."""
 
-    row: np.ndarray  # claim-row id (one per record/answer)
+    claims: Claims
+    row: np.ndarray  # claim index
     agent: np.ndarray  # source / worker code
-    cand: np.ndarray  # global candidate id of the conditioning truth v
+    cand: np.ndarray  # cid of the conditioning truth v
     rel: np.ndarray  # 1 exact, 2 generalized, 3 wrong
     coef: np.ndarray  # static coefficient multiplying phi/psi[rel]
-    n_rows: int  # number of claims
-    n_agents: int
     claims_per_agent: np.ndarray  # |O_s| (or |O_w|)
     claims_per_object: np.ndarray  # |S_o| (or |W_o|)
-    agents: list[str]
+
+
+def _side(problem: Problem, claims: Claims, popularity: bool) -> _Side:
+    row, cand, rel, coef = expand(problem, claims.cid, popularity)
+    return _Side(
+        claims=claims,
+        row=row,
+        agent=claims.agent[row],
+        cand=cand,
+        rel=rel,
+        coef=coef,
+        claims_per_agent=np.bincount(claims.agent, minlength=len(claims.agents)).astype(float),
+        claims_per_object=np.bincount(
+            problem.obj_of_cand[claims.cid], minlength=len(problem.objects)
+        ).astype(float),
+    )
 
 
 class TDH:
@@ -81,31 +99,31 @@ class TDH:
         anc_pairs: (object, value, anc) — per-object candidate ancestor
             pairs (``anc ∈ G_o(value)``).
         """
-        p = _prepare(records, answers, anc_pairs)
-        mu, phi, psi, n_iter = self._em(p)
-        return _package(p, mu, phi, psi, self.gamma, n_iter)
+        problem = compile_problem(records, anc_pairs)
+        src = _side(problem, problem.sources, popularity=False)
+        wrk = None
+        if answers is not None and len(answers):
+            wrk = _side(problem, code_answers(problem, answers), popularity=True)
+        mu, phi, psi, n_iter = self._em(problem, src, wrk)
+        return _package(problem, src, wrk, mu, phi, psi, self.gamma, n_iter)
 
     # ------------------------------------------------------------------
-    def _em(self, p: dict):
-        C = p["n_cand"]
+    def _em(self, p: Problem, src: _Side, wrk: _Side | None):
+        C = len(p.cand)
+        obj_of = p.obj_of_cand
         gm1 = self.gamma - 1.0
-        src: _Side = p["src"]
-        wrk: _Side | None = p["wrk"]
         # init: mu from smoothed claim counts; phi/psi at prior means
-        counts = p["cnt"].astype(float) + p["ans_cnt"] + gm1
-        obj_of = p["obj_of_cand"]
-        denom0 = np.bincount(obj_of, counts, minlength=p["n_obj"])
-        mu = counts / denom0[obj_of]
-        phi = np.tile(self.alpha / self.alpha.sum(), (src.n_agents, 1))
+        mu = initial_mu(p, wrk.claims if wrk else None, self.gamma)
+        phi = np.tile(self.alpha / self.alpha.sum(), (len(src.claims_per_agent), 1))
         psi = (
-            np.tile(self.beta / self.beta.sum(), (wrk.n_agents, 1))
+            np.tile(self.beta / self.beta.sum(), (len(wrk.claims_per_agent), 1))
             if wrk is not None
             else None
         )
         mu_den = (
             src.claims_per_object
             + (wrk.claims_per_object if wrk is not None else 0.0)
-            + p["nV"] * gm1
+            + p.nV * gm1
         )
         a_sum = self.alpha.sum() - 3.0
         b_sum = self.beta.sum() - 3.0
@@ -132,237 +150,67 @@ class TDH:
 
 
 # ----------------------------------------------------------------------
+def initial_mu(p: Problem, workers: Claims | None, gamma: float) -> np.ndarray:
+    """EM's starting confidences: claim counts of both sides, smoothed by
+    ``gamma - 1`` and normalised per object."""
+    counts = p.cnt
+    if workers is not None:
+        counts = counts + np.bincount(workers.cid, minlength=len(p.cand))
+    counts = counts + (gamma - 1.0)
+    return counts / np.bincount(p.obj_of_cand, counts, minlength=len(p.objects))[p.obj_of_cand]
+
+
 def _estep(side: _Side, param: np.ndarray, mu: np.ndarray):
     """One E-step over a side: returns per-candidate f sums' raw values
     aligned to rows (to be bincounted by caller) and per-agent g sums."""
     w = param[side.agent, side.rel - 1] * side.coef * mu[side.cand]
-    z = np.bincount(side.row, w, minlength=side.n_rows)
+    z = np.bincount(side.row, w, minlength=len(side.claims.cid))
     f = w / z[side.row]
-    g = np.zeros((side.n_agents, 3))
+    n_agents = len(side.claims.agents)
+    g = np.zeros((n_agents, 3))
     for t in (1, 2, 3):
         m = side.rel == t
-        g[:, t - 1] = np.bincount(side.agent[m], f[m], minlength=side.n_agents)
+        g[:, t - 1] = np.bincount(side.agent[m], f[m], minlength=n_agents)
     return f, g
 
 
-def _prepare(
-    records: pd.DataFrame,
-    answers: pd.DataFrame | None,
-    anc_pairs: pd.DataFrame,
-) -> dict:
-    """Integer-code the problem and build the expanded E-step relations."""
-    if records.duplicated(["object", "source"]).any():
-        raise ValueError("records must have at most one claim per (object, source)")
-    cand = (
-        records[["object", "value"]]
-        .drop_duplicates()
-        .sort_values(["object", "value"])
-        .reset_index(drop=True)
-    )
-    objects = sorted(cand["object"].unique())
-    ocode = {o: i for i, o in enumerate(objects)}
-    cand["ocode"] = cand["object"].map(ocode)
-    cand["cid"] = np.arange(len(cand))
-    cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
-    n_obj, n_cand = len(objects), len(cand)
-    obj_of_cand = cand["ocode"].to_numpy()
-    nV_per_obj = np.bincount(obj_of_cand, minlength=n_obj).astype(float)
-
-    # ancestor pairs → cid space
-    anc_cids: set[tuple[int, int]] = set()
-    if len(anc_pairs):
-        for o, v, a in anc_pairs[["object", "value", "anc"]].itertuples(index=False):
-            d_cid = cid_of.get((o, v))
-            a_cid = cid_of.get((o, a))
-            if d_cid is None or a_cid is None:
-                raise ValueError(f"ancestor pair ({o},{v},{a}) not in candidate set")
-            anc_cids.add((d_cid, a_cid))
-    nG = np.zeros(n_cand)
-    for d, _a in anc_cids:
-        nG[d] += 1
-    oh = np.zeros(n_obj, dtype=bool)
-    for d, _a in anc_cids:
-        oh[obj_of_cand[d]] = True
-
-    # source claim counts per candidate; popularity denominators
-    rec = records.sort_values(["object", "source"]).reset_index(drop=True)
-    rec_cid = np.asarray([cid_of[(o, v)] for o, v in zip(rec["object"], rec["value"])])
-    cnt = np.bincount(rec_cid, minlength=n_cand).astype(float)
-    gen_cnt = np.zeros(n_cand)
-    for d, a in anc_cids:
-        gen_cnt[d] += cnt[a]
-    S_per_obj = np.bincount(rec["object"].map(ocode).to_numpy(), minlength=n_obj).astype(
-        float
-    )
-
-    stats = {
-        "n_obj": n_obj,
-        "n_cand": n_cand,
-        "objects": objects,
-        "cand": cand,
-        "cid_of": cid_of,
-        "obj_of_cand": obj_of_cand,
-        "nV": nV_per_obj,
-        "nG": nG,
-        "oh": oh,
-        "cnt": cnt,
-        "gen_cnt": gen_cnt,
-        "S_per_obj": S_per_obj,
-        "anc_cids": anc_cids,
-    }
-    stats["src"] = _expand_side(
-        rec, "source", stats, popularity=False, ocode=ocode
-    )
-    if answers is not None and len(answers):
-        if answers.duplicated(["object", "worker"]).any():
-            raise ValueError("answers must have at most one row per (object, worker)")
-        ans = answers.sort_values(["object", "worker"]).reset_index(drop=True)
-        for o, v in zip(ans["object"], ans["value"]):
-            if (o, v) not in cid_of:
-                raise ValueError(f"answer value {v!r} not a candidate of {o!r}")
-        stats["wrk"] = _expand_side(ans, "worker", stats, popularity=True, ocode=ocode)
-        stats["ans_cnt"] = np.bincount(
-            np.asarray([cid_of[(o, v)] for o, v in zip(ans["object"], ans["value"])]),
-            minlength=n_cand,
-        ).astype(float)
-        stats["answers"] = ans
-    else:
-        stats["wrk"] = None
-        stats["ans_cnt"] = np.zeros(n_cand)
-        stats["answers"] = None
-    stats["records"] = rec
-    stats["anc_pairs_df"] = anc_pairs
-    return stats
-
-
-def _expand_side(
-    claims: pd.DataFrame, agent_col: str, stats: dict, *, popularity: bool, ocode: dict
-) -> _Side:
-    """Build the expanded (claim × candidate-of-object) relation.
-
-    ``popularity=False`` gives the source coefficients of Eq. (1)–(2);
-    ``popularity=True`` gives the worker coefficients of Eq. (3)–(4).
-    """
-    agents = sorted(claims[agent_col].unique())
-    acode = {a: i for i, a in enumerate(agents)}
-    cid_of = stats["cid_of"]
-    obj_of_cand = stats["obj_of_cand"]
-    nV, nG, oh = stats["nV"], stats["nG"], stats["oh"]
-    cnt, gen_cnt, S = stats["cnt"], stats["gen_cnt"], stats["S_per_obj"]
-    anc_cids = stats["anc_cids"]
-    cand = stats["cand"]
-    cands_by_obj: dict[int, np.ndarray] = {
-        int(k): g["cid"].to_numpy() for k, g in cand.groupby("ocode", sort=True)
-    }
-
-    rows, agts, cands_, rels, coefs = [], [], [], [], []
-    for i, (o, a, v) in enumerate(
-        zip(claims["object"], claims[agent_col], claims["value"])
-    ):
-        oc = ocode[o]
-        claim_cid = cid_of[(o, v)]
-        a_i = acode[a]
-        is_oh = oh[oc]
-        for c in cands_by_obj[oc]:
-            if c == claim_cid:
-                if is_oh:
-                    pairs = [(1, 1.0)]
-                else:
-                    pairs = [(1, 1.0), (2, 1.0)]  # Eq. (2)/(4): phi1+phi2 collapse
-            elif (c, claim_cid) in anc_cids:  # claim ∈ G_o(truth candidate c)
-                if popularity:
-                    pairs = [(2, cnt[claim_cid] / gen_cnt[c])]
-                else:
-                    pairs = [(2, 1.0 / nG[c])]
-            else:
-                if is_oh:
-                    if popularity:
-                        den = S[oc] - cnt[c] - gen_cnt[c]
-                        pairs = [(3, cnt[claim_cid] / den if den > 0 else 0.0)]
-                    else:
-                        den = nV[oc] - nG[c] - 1.0
-                        pairs = [(3, 1.0 / den if den > 0 else 0.0)]
-                else:
-                    if popularity:
-                        den = S[oc] - cnt[c]
-                        pairs = [(3, cnt[claim_cid] / den if den > 0 else 0.0)]
-                    else:
-                        pairs = [(3, 1.0 / (nV[oc] - 1.0))]
-            for rel, coef in pairs:
-                rows.append(i)
-                agts.append(a_i)
-                cands_.append(c)
-                rels.append(rel)
-                coefs.append(coef)
-    claims_per_agent = np.bincount(
-        claims[agent_col].map(acode).to_numpy(), minlength=len(agents)
-    ).astype(float)
-    claims_per_object = np.bincount(
-        claims["object"].map(ocode).to_numpy(), minlength=stats["n_obj"]
-    ).astype(float)
-    return _Side(
-        row=np.asarray(rows),
-        agent=np.asarray(agts),
-        cand=np.asarray(cands_),
-        rel=np.asarray(rels),
-        coef=np.asarray(coefs, dtype=float),
-        n_rows=len(claims),
-        n_agents=len(agents),
-        claims_per_agent=claims_per_agent,
-        claims_per_object=claims_per_object,
-        agents=agents,
-    )
-
-
 def _package(
-    p: dict,
+    p: Problem,
+    src: _Side,
+    wrk: _Side | None,
     mu: np.ndarray,
     phi: np.ndarray,
     psi: np.ndarray | None,
     gamma: float,
     n_iter: int,
 ) -> InferenceResult:
-    cand = p["cand"]
-    mu_df = pd.DataFrame(
-        {"object": cand["object"], "value": cand["value"], "mu": mu}
-    )
+    mu_df = p.cand.assign(mu=mu)
     truths = argmax_truths(mu_df)
-    src: _Side = p["src"]
     phi_df = pd.DataFrame(phi, columns=["phi1", "phi2", "phi3"])
-    phi_df.insert(0, "source", src.agents)
+    phi_df.insert(0, "source", src.claims.agents)
     psi_df = None
     wacc = None
-    if psi is not None:
-        wrk: _Side = p["wrk"]
-        psi_df = pd.DataFrame(psi, columns=["psi1", "psi2", "psi3"])
-        psi_df.insert(0, "worker", wrk.agents)
-        wacc = pd.DataFrame({"worker": wrk.agents, "acc": psi[:, 0]})
-    gm1 = gamma - 1.0
     # Eq. (9) numerator/denominator, cached for the EAI incremental EM.
     f_src, _ = _estep(src, phi, mu)
-    N = np.bincount(src.cand, f_src, minlength=p["n_cand"])
-    W_per_obj = np.zeros(p["n_obj"])
-    if psi is not None:
-        f_wrk, _ = _estep(p["wrk"], psi, mu)
-        N += np.bincount(p["wrk"].cand, f_wrk, minlength=p["n_cand"])
-        W_per_obj = p["wrk"].claims_per_object
-    N = N + gm1
-    D = src.claims_per_object + W_per_obj + p["nV"] * gm1
-    N_df = pd.DataFrame({"object": cand["object"], "value": cand["value"], "N": N})
-    D_df = pd.DataFrame({"object": p["objects"], "D": D})
-    extras = {
-        "n_iter": n_iter,
-        "object_info": object_info(p["records"], p["answers"], p["anc_pairs_df"]),
-    }
+    N = np.bincount(src.cand, f_src, minlength=len(p.cand))
+    W_per_obj = np.zeros(len(p.objects))
+    if wrk is not None:
+        workers = wrk.claims.agents
+        psi_df = pd.DataFrame(psi, columns=["psi1", "psi2", "psi3"])
+        psi_df.insert(0, "worker", workers)
+        wacc = pd.DataFrame({"worker": workers, "acc": psi[:, 0]})
+        f_wrk, _ = _estep(wrk, psi, mu)
+        N += np.bincount(wrk.cand, f_wrk, minlength=len(p.cand))
+        W_per_obj = wrk.claims_per_object
+    N = N + (gamma - 1.0)
+    D = src.claims_per_object + W_per_obj + p.nV * (gamma - 1.0)
     return InferenceResult(
         truths=truths,
         mu=mu_df,
         phi=phi_df,
         psi=psi_df,
-        N=N_df,
-        D=D_df,
+        N=p.cand.assign(N=N),
+        D=pd.DataFrame({"object": p.objects, "D": D}),
         worker_accuracy=wacc,
-        extras=extras,
+        extras={"n_iter": n_iter, "problem": p},
     )
-
-

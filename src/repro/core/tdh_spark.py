@@ -21,8 +21,15 @@ onto Catalyst-friendly relational operators:
    driver — the classic "big data, small parameters" iterative pattern,
    which also keeps lineage constant across iterations.
 
-Task assignment is a separate job (see ``jobs/assign_tasks.py``); its
-inputs ``N_ov``/``D_o``/``U_EAI`` come from the same aggregations.
+The input frames are collected once and compiled by
+:func:`repro.core.candidates.compile_problem`, so malformed input raises
+the same ``ValueError`` as on the local engine before any EM job runs, and
+the driver-side statistics (candidates, ``|V_o|``, ``|S_o|``, the
+initial ``mu``) come from the compiled problem, which is returned in
+``extras["problem"]``. The expanded relation above is the independent
+relational derivation of Eq. (1)–(4) that the tests compare against the
+local engine's kernel. ``jobs/assign_tasks.py`` runs EAI (Algorithm 1)
+locally on the collected result.
 """
 from __future__ import annotations
 
@@ -38,8 +45,9 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.core.candidates import object_info
+from repro.core.candidates import Claims, Problem, code_answers, compile_problem
 from repro.core.result import InferenceResult, argmax_truths
+from repro.core.tdh_local import initial_mu
 
 _PAIR = ArrayType(
     StructType(
@@ -79,10 +87,11 @@ class TDHSpark:
         ``records``: (object, source, value); ``answers``: (object,
         worker, value) or None; ``anc_pairs``: (object, value, anc).
         """
-        base, stats = self._build_base(records, answers, anc_pairs)
-        base = base.persist()
+        problem = compile_problem(records.toPandas(), anc_pairs.toPandas())
+        workers = None if answers is None else code_answers(problem, answers.toPandas())
+        base = self._build_base(records, answers, anc_pairs).persist()
         try:
-            return self._em(base, stats)
+            return self._em(base, problem, workers)
         finally:
             base.unpersist()
 
@@ -93,7 +102,8 @@ class TDHSpark:
         answers: DataFrame | None,
         anc_pairs: DataFrame,
     ):
-        """Materialize the expanded E-step relation + static statistics."""
+        """The expanded E-step relation, derived independently of the local
+        engine's kernel (:func:`repro.core.candidates.expand`)."""
         cand = records.select("object", "value").distinct()
         nv = cand.groupBy("object").agg(F.count("*").cast("double").alias("nV"))
         ng = anc_pairs.groupBy("object", "value").agg(
@@ -210,73 +220,35 @@ class TDHSpark:
         base = expand(records, "source", "s")
         if answers is not None:
             base = base.unionByName(expand(answers, "worker", "w"))
-        # small driver-side statics for M-step denominators & packaging
-        cand_pdf = cand.toPandas().sort_values(["object", "value"]).reset_index(drop=True)
-        stats = {
-            "cand": cand_pdf,
-            "nV": nv.toPandas(),
-            "S": s_per_obj.toPandas(),
-            "records_pdf": records.toPandas(),
-            "answers_pdf": answers.toPandas() if answers is not None else None,
-            "anc_pdf": anc_pairs.toPandas(),
-        }
-        return base, stats
+        return base
 
     # ------------------------------------------------------------------
-    def _em(self, base: DataFrame, stats: dict) -> InferenceResult:
-        spark = self.spark
-        cand = stats["cand"]
-        objects = sorted(cand["object"].unique())
-        nV = stats["nV"].set_index("object")["nV"]
-        S = stats["S"].set_index("object")["S"]
-        recs = stats["records_pdf"]
-        ans = stats["answers_pdf"]
-        sources = sorted(recs["source"].unique())
-        workers = sorted(ans["worker"].unique()) if ans is not None else []
-        nO_s = recs.groupby("source").size()
-        nO_w = ans.groupby("worker").size() if ans is not None else pd.Series(dtype=int)
-        W_per_obj = (
-            ans.groupby("object").size() if ans is not None else pd.Series(dtype=int)
-        )
+    def _em(self, base: DataFrame, p: Problem, workers: Claims | None) -> InferenceResult:
+        C = len(p.cand)
+        obj_of = p.obj_of_cand
+        sources = p.sources.agents
+        names = workers.agents if workers is not None else []
+        nO_s = np.bincount(p.sources.agent, minlength=len(sources))
+        nO_w = None
+        W_per_obj = np.zeros(len(p.objects))
+        if workers is not None:
+            nO_w = np.bincount(workers.agent, minlength=len(names))
+            W_per_obj = np.bincount(obj_of[workers.cid], minlength=len(p.objects)).astype(float)
         gm1 = self.gamma - 1.0
         a_sum = self.alpha.sum() - 3.0
         b_sum = self.beta.sum() - 3.0
-
-        # init mu from smoothed claim counts (same as the local engine)
-        counts = (
-            recs.groupby(["object", "value"]).size().rename("n").reset_index()
-        )
-        if ans is not None:
-            counts = (
-                pd.concat(
-                    [counts, ans.groupby(["object", "value"]).size().rename("n").reset_index()]
-                )
-                .groupby(["object", "value"])["n"]
-                .sum()
-                .reset_index()
-            )
-        mu_pdf = cand.merge(counts, on=["object", "value"], how="left").fillna({"n": 0})
-        mu_pdf["mu"] = mu_pdf["n"] + gm1
-        mu_pdf["mu"] /= mu_pdf.groupby("object")["mu"].transform("sum")
-        mu_pdf = mu_pdf[["object", "value", "mu"]]
+        mu = initial_mu(p, workers, self.gamma)
         phi = pd.DataFrame(
             np.tile(self.alpha / self.alpha.sum(), (len(sources), 1)),
             columns=["p1", "p2", "p3"],
         )
         phi.insert(0, "agent", sources)
         psi = pd.DataFrame(
-            np.tile(self.beta / self.beta.sum(), (len(workers), 1)),
+            np.tile(self.beta / self.beta.sum(), (len(names), 1)),
             columns=["p1", "p2", "p3"],
         )
-        psi.insert(0, "agent", workers)
-
-        mu_den = pd.Series(
-            [
-                S[o] + float(W_per_obj.get(o, 0.0)) + nV[o] * gm1
-                for o in objects
-            ],
-            index=objects,
-        )
+        psi.insert(0, "agent", names)
+        mu_den = p.S + W_per_obj + p.nV * gm1
 
         def param_long() -> pd.DataFrame:
             rows = []
@@ -286,36 +258,27 @@ class TDHSpark:
                         rows.append((side, r["agent"], t, float(r[f"p{t}"])))
             return pd.DataFrame(rows, columns=["side", "agent", "rel", "p"])
 
+        def f_sums(mu_sums: pd.DataFrame) -> np.ndarray:
+            """Per-cid sums of the responsibilities collected from Spark."""
+            cid = p.index.get_indexer(pd.MultiIndex.from_frame(mu_sums[["object", "value"]]))
+            return np.bincount(cid, mu_sums["f"].to_numpy(), minlength=C)
+
         n_iter = 0
-        mu_sums = phi_sums = None
         for n_iter in range(1, self.max_iter + 1):
-            mu_sums, phi_sums = self._estep_job(base, mu_pdf, param_long())
+            mu_sums, phi_sums = self._estep_job(base, p.cand.assign(mu=mu), param_long())
             # -- M-step on the driver (parameters are small) -----------
-            new_mu = cand.merge(mu_sums, on=["object", "value"], how="left").fillna(
-                {"f": 0.0}
-            )
-            new_mu["mu"] = (new_mu["f"] + gm1) / new_mu["object"].map(mu_den)
-            new_mu = new_mu[["object", "value", "mu"]]
-            phi = self._update_trust(
-                phi_sums, "s", sources, nO_s, self.alpha, a_sum
-            )
-            if workers:
-                psi = self._update_trust(
-                    phi_sums, "w", workers, nO_w, self.beta, b_sum
-                )
-            merged = mu_pdf.merge(new_mu, on=["object", "value"], suffixes=("", "_new"))
-            delta = float((merged["mu"] - merged["mu_new"]).abs().max())
-            mu_pdf = new_mu
+            new_mu = (f_sums(mu_sums) + gm1) / mu_den[obj_of]
+            phi = self._update_trust(phi_sums, "s", sources, nO_s, self.alpha, a_sum)
+            if names:
+                psi = self._update_trust(phi_sums, "w", names, nO_w, self.beta, b_sum)
+            delta = float(np.max(np.abs(new_mu - mu)))
+            mu = new_mu
             if delta < self.tol:
                 break
         # final E-step pass at the converged parameters → Eq. (9) N/D
-        mu_sums, _ = self._estep_job(base, mu_pdf, param_long())
-        N_pdf = cand.merge(mu_sums, on=["object", "value"], how="left").fillna(
-            {"f": 0.0}
-        )
-        N_pdf["N"] = N_pdf["f"] + gm1
+        mu_sums, _ = self._estep_job(base, p.cand.assign(mu=mu), param_long())
         return self._package(
-            mu_pdf, phi, psi if workers else None, N_pdf, mu_den, stats, n_iter
+            p, mu, phi, psi if names else None, f_sums(mu_sums) + gm1, mu_den, n_iter
         )
 
     def _estep_job(self, base: DataFrame, mu_pdf: pd.DataFrame, params: pd.DataFrame):
@@ -357,14 +320,14 @@ class TDHSpark:
             .reindex(columns=[1, 2, 3], fill_value=0.0)
         )
         arr = piv.to_numpy() + (prior - 1.0)
-        den = np.asarray([float(nO[a]) for a in agents]) + prior_sum
-        arr = arr / den[:, None]
+        arr = arr / (nO + prior_sum)[:, None]
         out = pd.DataFrame(arr, columns=["p1", "p2", "p3"])
         out.insert(0, "agent", agents)
         return out
 
-    def _package(self, mu_pdf, phi, psi, N_pdf, mu_den, stats, n_iter):
-        truths = argmax_truths(mu_pdf)
+    @staticmethod
+    def _package(p, mu, phi, psi, N, mu_den, n_iter) -> InferenceResult:
+        mu_pdf = p.cand.assign(mu=mu)
         phi_df = phi.rename(
             columns={"agent": "source", "p1": "phi1", "p2": "phi2", "p3": "phi3"}
         )
@@ -375,20 +338,13 @@ class TDHSpark:
                 columns={"agent": "worker", "p1": "psi1", "p2": "psi2", "p3": "psi3"}
             )
             wacc = psi_df[["worker"]].assign(acc=psi_df["psi1"].to_numpy())
-        D_df = mu_den.rename("D").rename_axis("object").reset_index()
-        extras = {
-            "n_iter": n_iter,
-            "object_info": object_info(
-                stats["records_pdf"], stats["answers_pdf"], stats["anc_pdf"]
-            ),
-        }
         return InferenceResult(
-            truths=truths,
-            mu=mu_pdf.sort_values(["object", "value"]).reset_index(drop=True),
+            truths=argmax_truths(mu_pdf),
+            mu=mu_pdf,
             phi=phi_df,
             psi=psi_df,
-            N=N_pdf[["object", "value", "N"]],
-            D=D_df,
+            N=p.cand.assign(N=N),
+            D=pd.DataFrame({"object": p.objects, "D": mu_den}),
             worker_accuracy=wacc,
-            extras=extras,
+            extras={"n_iter": n_iter, "problem": p},
         )

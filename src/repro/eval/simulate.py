@@ -29,11 +29,7 @@ from repro.baselines.lca import lca
 from repro.baselines.lfc import lfc
 from repro.baselines.mdc import mdc
 from repro.baselines.vote import vote
-from repro.core.candidates import (
-    candidate_sets,
-    hierarchical_ancestor_pairs,
-    object_info,
-)
+from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
 from repro.core.result import InferenceResult
 from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import TruthDataset
@@ -143,8 +139,6 @@ def run_crowdsourcing(
             k=k,
             answered=answered,
             rng=rng,
-            object_info=res.extras.get("object_info")
-            or object_info(ds.records, answers if len(answers) else None, anc),
         )
         assignment = assigner(ctx)
         new_rows = []

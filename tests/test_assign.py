@@ -7,14 +7,13 @@ from repro.assign.common import (
     AssignContext,
     answer_likelihood,
     onecoin_likelihood_matrix,
-    tdh_likelihood_matrix,
 )
-from repro.assign.eai import eai_assign, eai_quality, u_eai, _ensure_nd_maps
+from repro.assign.eai import eai_assign, eai_quality, u_eai
 from repro.assign.mb import mb_assign
 from repro.assign.me import me_assign
 from repro.assign.qasca import qasca_assign
 from repro.baselines.vote import vote
-from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
+from repro.core.candidates import candidate_sets, expand, hierarchical_ancestor_pairs
 from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import birthplaces_lite
 
@@ -52,18 +51,24 @@ class TestLikelihoodMatrices:
 
     def test_tdh_matrix_columns_sum_near_one(self, tdh_result):
         """Eq. (3)/(4) columns sum to 1 whenever every class is reachable."""
-        info = next(iter(tdh_result.extras["object_info"].values()))
+        ctx = make_ctx(tdh_result)
         psi = np.asarray([0.5, 0.3, 0.2])
-        A = tdh_likelihood_matrix(info, psi)
+        B1, B2, B3 = ctx.likelihood_basis(ctx.problem.objects[0])
+        A = psi[0] * B1 + psi[1] * B2 + psi[2] * B3
         assert (A >= 0).all()
         assert (A.sum(axis=0) <= 1.0 + 1e-9).all()
 
     def test_basis_linearity(self, tdh_result):
+        """The per-object basis, sliced from the kernel run over all
+        candidate pairs, equals Eq. (3)/(4) evaluated from the kernel's
+        rows for that object alone."""
         ctx = make_ctx(tdh_result)
         o = ctx.objects[0]
-        info = ctx.object_info[o]
+        _, sl = ctx.cands(o)
         psi = np.asarray([0.6, 0.25, 0.15])
-        direct = tdh_likelihood_matrix(info, psi)
+        row, cand, rel, coef = expand(ctx.problem, np.arange(sl.start, sl.stop), popularity=True)
+        direct = np.zeros((sl.stop - sl.start,) * 2)
+        np.add.at(direct, (row, cand - sl.start), psi[rel - 1] * coef)
         B1, B2, B3 = ctx.likelihood_basis(o)
         assert np.allclose(direct, psi[0] * B1 + psi[1] * B2 + psi[2] * B3)
 
@@ -82,7 +87,6 @@ class TestEAI:
     def test_upper_bound_holds(self, tdh_result):
         """Lemma 4.1: EAI(w, o) ≤ U_EAI(o) for every pair."""
         ctx = make_ctx(tdh_result)
-        _ensure_nd_maps(ctx)
         for o in ctx.objects[:40]:
             u = u_eai(ctx, o)
             for w in ctx.workers:
@@ -90,8 +94,7 @@ class TestEAI:
 
     def test_single_candidate_zero(self, tdh_result):
         ctx = make_ctx(tdh_result)
-        _ensure_nd_maps(ctx)
-        singles = [o for o in ctx.objects if len(ctx.object_info[o]["values"]) == 1]
+        singles = [o for o in ctx.objects if ctx.problem.nV[ctx.cands(o)[0]] == 1]
         if not singles:
             pytest.skip("no single-candidate objects at this scale")
         assert eai_quality(ctx, "w0", singles[0]) == 0.0
@@ -140,7 +143,7 @@ class TestEAI:
 
 
 def make_result_copy(res):
-    """Shallow copy with fresh extras (assigners cache maps in extras)."""
+    """Shallow copy with fresh extras (assigners write counters into extras)."""
     from repro.core.result import InferenceResult
 
     return InferenceResult(

@@ -1,4 +1,5 @@
-"""Tests for candidate sets, ancestor pairs, and object_info."""
+"""Tests for candidate sets, ancestor pairs, the compiled problem and the
+Eq. (1)–(4) coefficient kernel."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from repro.core.candidates import (
     candidate_sets,
     hierarchical_ancestor_pairs,
+    compile_problem,
+    expand,
     numeric_ancestor_pairs_df,
-    object_info,
 )
 from repro.hierarchy import Hierarchy
 from repro.hierarchy.tree import ROOT
@@ -85,33 +87,156 @@ class TestAncestorPairs:
         assert len(numeric_ancestor_pairs_df(cand)) == 0
 
 
-class TestObjectInfo:
+class TestCompileProblem:
     def test_counts(self, recs, h):
         cand = candidate_sets(recs)
         anc = hierarchical_ancestor_pairs(cand, h)
-        info = object_info(recs, None, anc)
-        o1 = info["o1"]
-        assert o1["S"] == 3.0
-        assert o1["oh"] is True
-        li = o1["values"].index("LibertyIsland")
-        ny = o1["values"].index("NY")
-        assert (li, ny) in o1["anc"]
-        assert o1["cnt"][ny] == 1.0
-        assert o1["gen_cnt"][li] == 1.0  # NY claimed once, is ancestor of LI
-
-    def test_answered_by(self, recs, h):
-        cand = candidate_sets(recs)
-        anc = hierarchical_ancestor_pairs(cand, h)
-        answers = pd.DataFrame(
-            [("o1", "w1", "NY")], columns=["object", "worker", "value"]
-        )
-        info = object_info(recs, answers, anc)
-        assert info["o1"]["answered_by"] == {"w1"}
-        assert info["o2"]["answered_by"] == set()
+        p = compile_problem(recs, anc)
+        o1 = p.objects.index("o1")
+        assert p.S[o1] == 3.0
+        assert bool(p.oh[o1]) is True
+        values = list(p.cand["value"])
+        li = values.index("LibertyIsland")
+        ny = values.index("NY")
+        assert [li, ny] in p.anc.tolist()
+        assert p.cnt[ny] == 1.0
+        assert p.gen_cnt[li] == 1.0  # NY claimed once, is ancestor of LI
 
     def test_flat_object(self, recs, h):
         cand = candidate_sets(recs)
         anc = hierarchical_ancestor_pairs(cand, h)
-        info = object_info(recs, None, anc)
-        assert info["o2"]["oh"] is False
-        assert np.all(info["o2"]["gen_cnt"] == 0.0)
+        p = compile_problem(recs, anc)
+        o2 = p.objects.index("o2")
+        assert bool(p.oh[o2]) is False
+        sl = slice(p.start[o2], p.start[o2] + int(p.nV[o2]))
+        assert np.all(p.gen_cnt[sl] == 0.0)
+
+
+@pytest.fixture()
+def kernel_problem():
+    """One O_H object (Statue-of-Liberty style), one flat object, one
+    single-candidate object and one whose wrong-value denominators are 0."""
+    h = Hierarchy(
+        {
+            ROOT: None, "USA": ROOT, "NY": "USA", "LibertyIsland": "NY", "LA": "USA",
+            "UK": ROOT, "London": "UK", "Manchester": "UK", "Leeds": "UK",
+        }
+    )
+    recs = pd.DataFrame(
+        [
+            ("liberty", "s1", "NY"),
+            ("liberty", "s2", "LibertyIsland"),
+            ("liberty", "s3", "LA"),
+            ("liberty", "s4", "NY"),
+            ("liberty", "s5", "USA"),
+            ("flat", "s1", "London"),
+            ("flat", "s2", "London"),
+            ("flat", "s3", "Manchester"),
+            ("flat", "s4", "Leeds"),
+            ("single", "s1", "Leeds"),
+            ("single", "s2", "Leeds"),
+            ("guard", "s1", "NY"),
+            ("guard", "s2", "USA"),
+        ],
+        columns=["object", "source", "value"],
+    )
+    anc = hierarchical_ancestor_pairs(candidate_sets(recs), h)
+    return recs, anc, compile_problem(recs, anc)
+
+
+def _rows(p, obj, claim, popularity):
+    """Kernel rows (truth v, rel, coef) of one claim, in emitted order."""
+    cid = p.index.get_loc((obj, claim))
+    with np.errstate(all="raise"):
+        row, cand, rel, coef = expand(p, np.asarray([cid]), popularity)
+    assert (row == 0).all()
+    values = p.cand["value"].to_numpy()
+    return [(values[c], int(r), float(x)) for c, r, x in zip(cand, rel, coef)]
+
+
+class TestExpand:
+    """The Eq. (1)–(4) coefficients, computed by hand and compared exactly.
+
+    ``liberty``: V = {LA, LibertyIsland, NY, USA}, cnt = (1, 1, 2, 1), S = 5,
+    G(LA) = {USA}, G(LibertyIsland) = {NY, USA}, G(NY) = {USA}, G(USA) = {};
+    so nG = (1, 2, 1, 0) and gen_cnt = (1, 3, 1, 0).
+    """
+
+    @pytest.mark.parametrize(
+        "claim,source,worker",
+        [
+            (
+                "NY",
+                [("LA", 3, 1 / 2), ("LibertyIsland", 2, 1 / 2), ("NY", 1, 1.0), ("USA", 3, 1 / 3)],
+                [("LA", 3, 2 / 3), ("LibertyIsland", 2, 2 / 3), ("NY", 1, 1.0), ("USA", 3, 2 / 4)],
+            ),
+            (
+                "USA",
+                [("LA", 2, 1.0), ("LibertyIsland", 2, 1 / 2), ("NY", 2, 1.0), ("USA", 1, 1.0)],
+                [("LA", 2, 1.0), ("LibertyIsland", 2, 1 / 3), ("NY", 2, 1.0), ("USA", 1, 1.0)],
+            ),
+            (
+                "LibertyIsland",
+                [("LA", 3, 1 / 2), ("LibertyIsland", 1, 1.0), ("NY", 3, 1 / 2), ("USA", 3, 1 / 3)],
+                [("LA", 3, 1 / 3), ("LibertyIsland", 1, 1.0), ("NY", 3, 1 / 2), ("USA", 3, 1 / 4)],
+            ),
+        ],
+    )
+    def test_hierarchical_object(self, kernel_problem, claim, source, worker):
+        _, _, p = kernel_problem
+        assert bool(p.oh[p.objects.index("liberty")]) is True
+        assert _rows(p, "liberty", claim, popularity=False) == source
+        assert _rows(p, "liberty", claim, popularity=True) == worker
+
+    def test_flat_object(self, kernel_problem):
+        """V = {Leeds, London, Manchester}, cnt = (1, 2, 1), S = 4; an exact
+        match carries phi1 + phi2 (Eq. 2/4): a rel-1 then a rel-2 row."""
+        _, _, p = kernel_problem
+        assert bool(p.oh[p.objects.index("flat")]) is False
+        assert _rows(p, "flat", "Manchester", popularity=False) == [
+            ("Leeds", 3, 1 / 2), ("London", 3, 1 / 2), ("Manchester", 1, 1.0), ("Manchester", 2, 1.0)
+        ]
+        assert _rows(p, "flat", "Manchester", popularity=True) == [
+            ("Leeds", 3, 1 / 3), ("London", 3, 1 / 2), ("Manchester", 1, 1.0), ("Manchester", 2, 1.0)
+        ]
+
+    def test_single_candidate_object(self, kernel_problem):
+        _, _, p = kernel_problem
+        for popularity in (False, True):
+            assert _rows(p, "single", "Leeds", popularity) == [("Leeds", 1, 1.0), ("Leeds", 2, 1.0)]
+
+    def test_non_positive_denominator_guard(self, kernel_problem):
+        """V = {NY, USA} with USA ∈ G(NY): for the truth NY both wrong-value
+        denominators are 0 (|V|-|G|-1 and S-cnt-gen_cnt), and no row may
+        divide by them (``_rows`` raises on any floating-point error)."""
+        _, _, p = kernel_problem
+        ny = p.index.get_loc(("guard", "NY"))
+        assert p.nV[p.objects.index("guard")] - p.nG[ny] - 1.0 == 0.0
+        assert p.S[p.objects.index("guard")] - p.cnt[ny] - p.gen_cnt[ny] == 0.0
+        for popularity in (False, True):
+            assert _rows(p, "guard", "USA", popularity) == [("NY", 2, 1.0), ("USA", 1, 1.0)]
+            assert _rows(p, "guard", "NY", popularity) == [("NY", 1, 1.0), ("USA", 3, 1.0)]
+
+    def test_worker_rows_equal_the_assigners_basis(self, kernel_problem):
+        from repro.assign.common import AssignContext
+        from repro.core.tdh_local import TDH
+
+        recs, anc, _ = kernel_problem
+        ctx = AssignContext(
+            result=TDH(max_iter=2).fit(recs, None, anc),
+            workers=["w0"],
+            k=1,
+            answered={},
+            rng=np.random.default_rng(0),
+        )
+        p = ctx.problem
+        for o in p.objects:
+            _, sl = ctx.cands(o)
+            B = ctx.likelihood_basis(o)
+            seen = np.zeros(B.shape, dtype=bool)
+            for vp in range(sl.start, sl.stop):
+                row, cand, rel, coef = expand(p, np.asarray([vp]), popularity=True)
+                for v, r, x in zip(cand, rel, coef):
+                    assert B[r - 1, vp - sl.start, v - sl.start] == x
+                    seen[r - 1, vp - sl.start, v - sl.start] = True
+            assert (B[~seen] == 0.0).all()

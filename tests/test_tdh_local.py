@@ -3,8 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
-from repro.core.tdh_local import TDH, _prepare
+from repro.core.candidates import candidate_sets, compile_problem, hierarchical_ancestor_pairs
+from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
@@ -227,18 +227,19 @@ class TestModelStructure:
         )
         cand = candidate_sets(recs)
         anc = hierarchical_ancestor_pairs(cand, h)
-        p = _prepare(recs, None, anc)
-        objs = p["objects"]
-        assert bool(p["oh"][objs.index("o1")]) is True
-        assert bool(p["oh"][objs.index("o2")]) is False
+        p = compile_problem(recs, anc)
+        objs = p.objects
+        assert bool(p.oh[objs.index("o1")]) is True
+        assert bool(p.oh[objs.index("o2")]) is False
 
-    def test_object_info_in_extras(self, h):
+    def test_problem_in_extras(self, h):
         recs = _records([("o1", "s1", "NY"), ("o1", "s2", "USA")])
         res = _fit(recs, h)
-        info = res.extras["object_info"]
-        assert info["o1"]["oh"] is True
-        assert info["o1"]["S"] == 2.0
-        assert set(info["o1"]["values"]) == {"NY", "USA"}
+        p = res.extras["problem"]
+        o1 = p.objects.index("o1")
+        assert bool(p.oh[o1]) is True
+        assert p.S[o1] == 2.0
+        assert set(p.cand["value"][p.cand["object"] == "o1"]) == {"NY", "USA"}
 
 
 class TestPriors:

@@ -3,6 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.assign.common import AssignContext
+from repro.assign.eai import eai_assign
 from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
 from repro.core.tdh_local import TDH
 from repro.core.tdh_spark import TDHSpark
@@ -25,6 +27,17 @@ def problem():
         columns=["object", "worker", "value"],
     )
     return ds, cand, anc, answers
+
+
+@pytest.fixture(scope="module")
+def fits25(spark, problem):
+    """Both engines at ``max_iter=25`` on the records of ``problem``."""
+    ds, cand, anc, _ = problem
+    loc = TDH(max_iter=25).fit(ds.records, None, anc)
+    sp = TDHSpark(spark, max_iter=25).fit(
+        spark.createDataFrame(ds.records), None, spark.createDataFrame(anc)
+    )
+    return loc, sp
 
 
 class TestSparkLocalEquivalence:
@@ -57,16 +70,29 @@ class TestSparkLocalEquivalence:
         for c in ("psi1", "psi2", "psi3"):
             assert float((q[f"{c}_l"] - q[f"{c}_s"]).abs().max()) < 1e-9
 
-    def test_nd_tables_match(self, spark, problem):
-        ds, cand, anc, _ = problem
-        loc = TDH(max_iter=25).fit(ds.records, None, anc)
-        sp = TDHSpark(spark, max_iter=25).fit(
-            spark.createDataFrame(ds.records), None, spark.createDataFrame(anc)
-        )
+    def test_nd_tables_match(self, fits25):
+        loc, sp = fits25
         n = loc.N.merge(sp.N, on=["object", "value"], suffixes=("_l", "_s"))
         assert float((n["N_l"] - n["N_s"]).abs().max()) < 1e-8
         d = loc.D.merge(sp.D, on="object", suffixes=("_l", "_s"))
         assert float((d["D_l"] - d["D_s"]).abs().max()) < 1e-12
+
+    def test_eai_assignment_matches(self, fits25):
+        """The path of jobs/assign_tasks.py: Algorithm 1 on a Spark fit."""
+
+        def assign(res):
+            return eai_assign(
+                AssignContext(
+                    result=res,
+                    workers=[f"w{i}" for i in range(4)],
+                    k=5,
+                    answered={},
+                    rng=np.random.default_rng(0),
+                )
+            )
+
+        loc, sp = fits25
+        assert assign(sp) == assign(loc)
 
     def test_heritages_dataset(self, spark):
         ds = heritages_lite(sf=0.02, seed=1)
@@ -78,6 +104,36 @@ class TestSparkLocalEquivalence:
         )
         t = loc.truths.merge(sp.truths, on="object", suffixes=("_l", "_s"))
         assert (t["value_l"] == t["value_s"]).all()
+
+
+_NY_USA = [("o1", "s1", "NY"), ("o1", "s2", "USA")]
+
+
+@pytest.mark.parametrize("engine", ["local", "spark"])
+@pytest.mark.parametrize(
+    "records,answers,match",
+    [
+        (_NY_USA + [("o1", "s1", "USA")], None, r"at most one claim per \(object, source\)"),
+        (_NY_USA, [("o1", "w1", "NY"), ("o1", "w1", "USA")], r"at most one claim per \(object, worker\)"),
+        (_NY_USA, [("o1", "w1", "LA")], "'LA' not a candidate of 'o1'"),
+    ],
+    ids=["duplicate-source", "duplicate-worker", "answer-outside-candidates"],
+)
+def test_engines_reject_malformed_input(request, engine, records, answers, match):
+    records = pd.DataFrame(records, columns=["object", "source", "value"])
+    anc = pd.DataFrame([("o1", "NY", "USA")], columns=["object", "value", "anc"])
+    if answers is not None:
+        answers = pd.DataFrame(answers, columns=["object", "worker", "value"])
+    with pytest.raises(ValueError, match=match):
+        if engine == "local":
+            TDH(max_iter=2).fit(records, answers, anc)
+        else:
+            spark = request.getfixturevalue("spark")
+            TDHSpark(spark, max_iter=2).fit(
+                spark.createDataFrame(records),
+                None if answers is None else spark.createDataFrame(answers),
+                spark.createDataFrame(anc),
+            )
 
 
 class TestSparkAggregationsOracle:
