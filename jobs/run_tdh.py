@@ -33,7 +33,7 @@ def main() -> None:
     gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
     print(
         f"[tdh] dataset={ds.name} records={len(ds.records)} "
-        f"iters={res.extras['n_iter']} "
+        f"iters={res.extras['n_iter']} converged={res.extras['converged']} "
         f"accuracy={M.accuracy(res.truths, gold):.4f} "
         f"gen_accuracy={M.gen_accuracy(res.truths, gold, ds.hierarchy):.4f} "
         f"avg_distance={M.avg_distance(res.truths, gold, ds.hierarchy):.4f}"

@@ -13,9 +13,8 @@ relation ``(object, value, anc)`` produced here — either from a
 popularity counts of Eq. 3–4) and validates them; :func:`code_answers`
 codes and validates worker answers against it. :func:`expand` is the one
 implementation of the data-dependent coefficients of Eq. (1)–(4): the
-local engine's E-step and the assigners' answer likelihood both use it.
-The Spark engine derives the same coefficients independently with joins,
-and the tests hold the two equal.
+E-step of both TDH engines and the assigners' answer likelihood use it.
+The tests hold it equal to an independent SQL derivation of its rows.
 """
 from __future__ import annotations
 

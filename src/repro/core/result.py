@@ -29,8 +29,11 @@ class InferenceResult:
         (worker, acc) — scalar worker reliability for algorithms with a
         symmetric worker model (used by QASCA/MB with baselines).
     extras:
-        Algorithm-specific state. TDH results hold ``n_iter`` and the
-        compiled ``problem`` (:class:`repro.core.candidates.Problem`);
+        Algorithm-specific state. TDH results (both engines) hold
+        ``n_iter``, the EM iterations run; ``converged``, True when the
+        last one moved no ``mu`` by ``tol`` or more and False when EM
+        stopped at ``max_iter``; and the compiled ``problem``
+        (:class:`repro.core.candidates.Problem`);
         their ``mu`` and ``N`` rows are in the problem's candidate order
         and ``D`` rows in its object order, which the EAI assigner relies on.
     """

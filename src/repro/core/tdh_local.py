@@ -1,4 +1,4 @@
-"""TDH truth inference — vectorized reference engine.
+"""TDH truth inference — the EM of both engines.
 
 Implements the paper's EM algorithm (§3.2, Fig. 4, Eq. 9–11) exactly:
 
@@ -11,58 +11,32 @@ Implements the paper's EM algorithm (§3.2, Fig. 4, Eq. 9–11) exactly:
 * Dirichlet priors ``alpha=(3,3,2)``, ``beta=gamma=(2,…)`` (§5.1) and the
   MAP M-step updates of Eq. (9)–(11).
 
-This engine is numerically identical to the Spark implementation in
-:mod:`repro.core.tdh_spark` (asserted in tests); it exists because the
-crowdsourcing round loop re-runs EM thousands of times on tiny deltas,
-where per-job Spark overhead would dominate (see DESIGN.md §3).
-
 The problem is compiled by :func:`repro.core.candidates.compile_problem`
 into integer-coded numpy arrays and each side's claims are expanded over
 their candidates by the Eq. (1)–(4) kernel
-:func:`repro.core.candidates.expand`; one EM iteration is a handful of
-``np.bincount`` segment reductions over that expanded relation. The
-compiled problem is returned in ``extras["problem"]`` for the assigners.
+:func:`repro.core.candidates.expand`. The E-step (:func:`_estep`) is a
+handful of ``np.bincount`` segment reductions over that expanded relation.
+Its coefficients and its per-claim normaliser depend only on the claim's
+object, so the E-step over all objects is the sum (:func:`_add`) of the
+E-steps over disjoint blocks of objects; only the M-step needs the totals.
+The EM loop (:meth:`TDH._em`) and :func:`_package` therefore take the
+E-step as a callable ``(mu, phi, psi) -> (mu_num, g_src, g_wrk)``:
+:class:`TDH` runs :func:`_estep` on the whole relation, one block, and
+:class:`repro.core.tdh_spark.TDHSpark` maps it over object blocks on Spark.
+The local engine is what the crowdsourcing round loop uses: it re-runs EM
+thousands of times on tiny deltas, where per-job Spark overhead would
+dominate (see DESIGN.md §3). The compiled problem is returned in
+``extras["problem"]`` for the assigners.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pandas as pd
 
 from repro.core.candidates import Claims, Problem, code_answers, compile_problem, expand
 from repro.core.result import InferenceResult, argmax_truths
-
-
-@dataclass
-class _Side:
-    """One side's claims (sources or workers) expanded over the candidates
-    of their objects by the Eq. (1)–(4) kernel."""
-
-    claims: Claims
-    row: np.ndarray  # claim index
-    agent: np.ndarray  # source / worker code
-    cand: np.ndarray  # cid of the conditioning truth v
-    rel: np.ndarray  # 1 exact, 2 generalized, 3 wrong
-    coef: np.ndarray  # static coefficient multiplying phi/psi[rel]
-    claims_per_agent: np.ndarray  # |O_s| (or |O_w|)
-    claims_per_object: np.ndarray  # |S_o| (or |W_o|)
-
-
-def _side(problem: Problem, claims: Claims, popularity: bool) -> _Side:
-    row, cand, rel, coef = expand(problem, claims.cid, popularity)
-    return _Side(
-        claims=claims,
-        row=row,
-        agent=claims.agent[row],
-        cand=cand,
-        rel=rel,
-        coef=coef,
-        claims_per_agent=np.bincount(claims.agent, minlength=len(claims.agents)).astype(float),
-        claims_per_object=np.bincount(
-            problem.obj_of_cand[claims.cid], minlength=len(problem.objects)
-        ).astype(float),
-    )
 
 
 class TDH:
@@ -99,57 +73,56 @@ class TDH:
         anc_pairs: (object, value, anc) — per-object candidate ancestor
             pairs (``anc ∈ G_o(value)``).
         """
-        problem = compile_problem(records, anc_pairs)
-        src = _side(problem, problem.sources, popularity=False)
-        wrk = None
-        if answers is not None and len(answers):
-            wrk = _side(problem, code_answers(problem, answers), popularity=True)
-        mu, phi, psi, n_iter = self._em(problem, src, wrk)
-        return _package(problem, src, wrk, mu, phi, psi, self.gamma, n_iter)
+        problem, workers = _compile(records, answers, anc_pairs)
+        block = (
+            _side(problem, problem.sources, popularity=False),
+            None if workers is None else _side(problem, workers, popularity=True),
+        )
+        return self._em(problem, workers, partial(_estep, block))
 
     # ------------------------------------------------------------------
-    def _em(self, p: Problem, src: _Side, wrk: _Side | None):
-        C = len(p.cand)
+    def _em(self, p: Problem, workers: Claims | None, estep) -> InferenceResult:
+        """MAP EM from smoothed claim counts and the prior means of phi/psi.
+
+        ``estep(mu, phi, psi)`` returns the E-step sums of every object:
+        the Eq. (9) numerators per cid and the per-agent, per-relationship
+        sums of Eq. (10)/(11), before the priors are added.
+        """
         obj_of = p.obj_of_cand
         gm1 = self.gamma - 1.0
-        # init: mu from smoothed claim counts; phi/psi at prior means
-        mu = initial_mu(p, wrk.claims if wrk else None, self.gamma)
-        phi = np.tile(self.alpha / self.alpha.sum(), (len(src.claims_per_agent), 1))
-        psi = (
-            np.tile(self.beta / self.beta.sum(), (len(wrk.claims_per_agent), 1))
-            if wrk is not None
-            else None
-        )
-        mu_den = (
-            src.claims_per_object
-            + (wrk.claims_per_object if wrk is not None else 0.0)
-            + p.nV * gm1
-        )
+        nO_s = np.bincount(p.sources.agent, minlength=len(p.sources.agents)).astype(float)
+        phi = np.tile(self.alpha / self.alpha.sum(), (len(nO_s), 1))
+        psi, W_per_obj = None, 0.0
+        if workers is not None:
+            nO_w = np.bincount(workers.agent, minlength=len(workers.agents)).astype(float)
+            psi = np.tile(self.beta / self.beta.sum(), (len(nO_w), 1))
+            W_per_obj = np.bincount(obj_of[workers.cid], minlength=len(p.objects)).astype(float)
+        mu = initial_mu(p, workers, self.gamma)
+        mu_den = p.S + W_per_obj + p.nV * gm1
         a_sum = self.alpha.sum() - 3.0
         b_sum = self.beta.sum() - 3.0
-        n_iter = 0
+        n_iter, delta = 0, np.inf
         for n_iter in range(1, self.max_iter + 1):
-            f_src, g_src = _estep(src, phi, mu)
-            mu_num = np.bincount(src.cand, f_src, minlength=C)
-            if wrk is not None:
-                f_wrk, g_wrk = _estep(wrk, psi, mu)
-                mu_num += np.bincount(wrk.cand, f_wrk, minlength=C)
+            mu_num, g_src, g_wrk = estep(mu, phi, psi)
             mu_new = (mu_num + gm1) / mu_den[obj_of]
-            phi = (g_src + (self.alpha - 1.0)) / (
-                src.claims_per_agent[:, None] + a_sum
-            )
-            if wrk is not None:
-                psi = (g_wrk + (self.beta - 1.0)) / (
-                    wrk.claims_per_agent[:, None] + b_sum
-                )
+            phi = (g_src + (self.alpha - 1.0)) / (nO_s[:, None] + a_sum)
+            if psi is not None:
+                psi = (g_wrk + (self.beta - 1.0)) / (nO_w[:, None] + b_sum)
             delta = float(np.max(np.abs(mu_new - mu)))
             mu = mu_new
             if delta < self.tol:
                 break
-        return mu, phi, psi, n_iter
+        return _package(p, workers, estep, mu, phi, psi, gm1, mu_den, n_iter, delta < self.tol)
 
 
 # ----------------------------------------------------------------------
+def _compile(records: pd.DataFrame, answers: pd.DataFrame | None, anc_pairs: pd.DataFrame):
+    """The compiled problem and the coded worker answers (None without any)."""
+    problem = compile_problem(records, anc_pairs)
+    workers = code_answers(problem, answers) if answers is not None and len(answers) else None
+    return problem, workers
+
+
 def initial_mu(p: Problem, workers: Claims | None, gamma: float) -> np.ndarray:
     """EM's starting confidences: claim counts of both sides, smoothed by
     ``gamma - 1`` and normalised per object."""
@@ -160,57 +133,79 @@ def initial_mu(p: Problem, workers: Claims | None, gamma: float) -> np.ndarray:
     return counts / np.bincount(p.obj_of_cand, counts, minlength=len(p.objects))[p.obj_of_cand]
 
 
-def _estep(side: _Side, param: np.ndarray, mu: np.ndarray):
-    """One E-step over a side: returns per-candidate f sums' raw values
-    aligned to rows (to be bincounted by caller) and per-agent g sums."""
-    w = param[side.agent, side.rel - 1] * side.coef * mu[side.cand]
-    z = np.bincount(side.row, w, minlength=len(side.claims.cid))
-    f = w / z[side.row]
-    n_agents = len(side.claims.agents)
-    g = np.zeros((n_agents, 3))
+def _side(problem: Problem, claims: Claims, popularity: bool):
+    """One side's claims (sources or workers) expanded over the candidates
+    of their objects by the Eq. (1)–(4) kernel, as the arrays ``(row, agent,
+    cand, rel, coef)``: claim index, its source / worker code, cid of the
+    conditioning truth v, 1 exact / 2 generalized / 3 wrong, and the static
+    coefficient multiplying phi/psi[rel]. Rows are sorted by claim, so by
+    object. Plain arrays, so Spark workers can load them without this
+    package."""
+    row, cand, rel, coef = expand(problem, claims.cid, popularity)
+    return row, claims.agent[row], cand, rel, coef
+
+
+def _estep(block, mu: np.ndarray, phi: np.ndarray, psi: np.ndarray | None):
+    """The E-step over a block of objects: ``(mu_num, g_src, g_wrk)``, the
+    responsibilities summed per cid and per (agent, relationship) of each
+    side. ``block`` is ``(src_rows, wrk_rows)`` of :func:`_side` restricted
+    to the block's claims (claim indices from 0), ``wrk_rows`` None without
+    answers."""
+    src, wrk = block
+    mu_num, g_src = _side_estep(src, phi, mu)
+    if wrk is None:
+        return mu_num, g_src, np.zeros((0, 3))
+    mu_wrk, g_wrk = _side_estep(wrk, psi, mu)
+    return mu_num + mu_wrk, g_src, g_wrk
+
+
+def _side_estep(rows, param: np.ndarray, mu: np.ndarray):
+    """One side's part of :func:`_estep`; ``param`` is its phi or psi."""
+    row, agent, cand, rel, coef = rows
+    w = param[agent, rel - 1] * coef * mu[cand]
+    f = w / np.bincount(row, w)[row]
+    g = np.zeros((len(param), 3))
     for t in (1, 2, 3):
-        m = side.rel == t
-        g[:, t - 1] = np.bincount(side.agent[m], f[m], minlength=n_agents)
-    return f, g
+        m = rel == t
+        g[:, t - 1] = np.bincount(agent[m], f[m], minlength=len(param))
+    return np.bincount(cand, f, minlength=len(mu)), g
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """The E-step of two disjoint blocks from the E-step of each."""
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def _package(
     p: Problem,
-    src: _Side,
-    wrk: _Side | None,
+    workers: Claims | None,
+    estep,
     mu: np.ndarray,
     phi: np.ndarray,
     psi: np.ndarray | None,
-    gamma: float,
+    gm1: float,
+    mu_den: np.ndarray,
     n_iter: int,
+    converged: bool,
 ) -> InferenceResult:
+    # Eq. (9) numerator/denominator, cached for the EAI incremental EM.
+    N = estep(mu, phi, psi)[0] + gm1
     mu_df = p.cand.assign(mu=mu)
-    truths = argmax_truths(mu_df)
     phi_df = pd.DataFrame(phi, columns=["phi1", "phi2", "phi3"])
-    phi_df.insert(0, "source", src.claims.agents)
+    phi_df.insert(0, "source", p.sources.agents)
     psi_df = None
     wacc = None
-    # Eq. (9) numerator/denominator, cached for the EAI incremental EM.
-    f_src, _ = _estep(src, phi, mu)
-    N = np.bincount(src.cand, f_src, minlength=len(p.cand))
-    W_per_obj = np.zeros(len(p.objects))
-    if wrk is not None:
-        workers = wrk.claims.agents
+    if psi is not None:
         psi_df = pd.DataFrame(psi, columns=["psi1", "psi2", "psi3"])
-        psi_df.insert(0, "worker", workers)
-        wacc = pd.DataFrame({"worker": workers, "acc": psi[:, 0]})
-        f_wrk, _ = _estep(wrk, psi, mu)
-        N += np.bincount(wrk.cand, f_wrk, minlength=len(p.cand))
-        W_per_obj = wrk.claims_per_object
-    N = N + (gamma - 1.0)
-    D = src.claims_per_object + W_per_obj + p.nV * (gamma - 1.0)
+        psi_df.insert(0, "worker", workers.agents)
+        wacc = pd.DataFrame({"worker": workers.agents, "acc": psi[:, 0]})
     return InferenceResult(
-        truths=truths,
+        truths=argmax_truths(mu_df),
         mu=mu_df,
         phi=phi_df,
         psi=psi_df,
         N=p.cand.assign(N=N),
-        D=pd.DataFrame({"object": p.objects, "D": D}),
+        D=pd.DataFrame({"object": p.objects, "D": mu_den}),
         worker_accuracy=wacc,
-        extras={"n_iter": n_iter, "problem": p},
+        extras={"n_iter": n_iter, "converged": converged, "problem": p},
     )

@@ -132,6 +132,19 @@ class TestEMInvariants:
         assert M.accuracy(res.truths, gold) >= M.accuracy(vote(ds.records).truths, gold)
 
 
+@pytest.mark.parametrize(
+    "tdh,converged", [(TDH(max_iter=2), False), (TDH(), True)], ids=["max_iter=2", "default-cap"]
+)
+def test_converged_reported(tdh, converged):
+    """``extras["converged"]`` tells a fit that met ``tol`` from one that
+    stopped at ``max_iter``."""
+    ds = birthplaces_lite(sf=0.01, seed=0)
+    anc = hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+    res = tdh.fit(ds.records, None, anc)
+    assert res.extras["converged"] is converged
+    assert (res.extras["n_iter"] < tdh.max_iter) is converged
+
+
 class TestWorkerSide:
     def test_answers_change_mu(self, h):
         rows = [
