@@ -44,7 +44,10 @@ def main() -> None:
         rng=np.random.default_rng(args.seed),
     )
     assignment = eai_assign(ctx)
-    print(f"[assign] EAI evaluations: {res.extras.get('_eai_evals')}")
+    print(
+        f"[assign] EAI evaluations: {res.extras['_eai_evals']}, "
+        f"offers pruned by Lemma 4.1: {res.extras['_eai_pruned']}"
+    )
     for w, objs in assignment.items():
         print(f"[assign] {w}: {objs}")
     spark.stop()

@@ -9,13 +9,14 @@ matrix* ``A[v', v] = P(v_o^w = v' | v_o^* = v)``:
   one-coin model implied by their estimated worker accuracy.
 
 Workers with no answers yet fall back to prior-mean parameters.
+:func:`top_k` is the per-worker selection QASCA, MB and ME share.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import pandas as pd
 
 from repro.core.candidates import Problem, expand
 from repro.core.result import InferenceResult
@@ -30,7 +31,6 @@ class AssignContext:
     k: int
     answered: dict[str, set[str]]  # object -> workers who already answered it
     rng: np.random.Generator
-    mu_map: dict[str, dict[str, float]] = field(default_factory=dict)
     # TDH results only: the fit's compiled problem and its mu/N (per cid)
     # and D (per object) arrays
     problem: Problem | None = field(init=False, default=None)
@@ -39,34 +39,31 @@ class AssignContext:
     D: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if not self.mu_map:
-            self.mu_map = self.result.mu_map()
         self.problem = self.result.extras.get("problem")
         if self.problem is not None:
             self._obj_code = {o: i for i, o in enumerate(self.problem.objects)}
             self.mu = self.result.mu["mu"].to_numpy(dtype=float)
             self.N = self.result.N["N"].to_numpy(dtype=float)
             self.D = self.result.D["D"].to_numpy(dtype=float)
-        self._psi_cache: dict[str, np.ndarray] = {}
-        if self.result.psi is not None:
-            for _, r in self.result.psi.iterrows():
-                self._psi_cache[r["worker"]] = np.asarray(
-                    [r["psi1"], r["psi2"], r["psi3"]], dtype=float
-                )
-        self._acc_cache: dict[str, float] = {}
-        if self.result.worker_accuracy is not None:
-            self._acc_cache = dict(
-                zip(
-                    self.result.worker_accuracy["worker"],
-                    self.result.worker_accuracy["acc"].astype(float),
-                )
-            )
-        self._pairs = None
-        self._basis_cache: dict[str, np.ndarray] = {}
+        psi, acc = self.result.psi, self.result.worker_accuracy
+        self._psi_cache: dict[str, np.ndarray] = {} if psi is None else dict(
+            zip(psi["worker"], psi[["psi1", "psi2", "psi3"]].to_numpy(dtype=float))
+        )
+        self._acc_cache: dict[str, float] = {} if acc is None else dict(
+            zip(acc["worker"], acc["acc"].astype(float))
+        )
+        self._eai = None  # the round's EAI table, filled by repro.assign.eai
         self._mu_vec_cache: dict[str, tuple[list[str], np.ndarray]] = {}
+
+    @cached_property
+    def mu_map(self) -> dict[str, dict[str, float]]:
+        """object -> {value: mu}; built on first use (EAI never reads it)."""
+        return self.result.mu_map()
 
     @property
     def objects(self) -> list[str]:
+        if self.problem is not None:
+            return self.problem.objects
         return sorted(self.mu_map)
 
     def worker_psi(self, w: str) -> np.ndarray:
@@ -83,27 +80,29 @@ class AssignContext:
         s = int(self.problem.start[i])
         return i, slice(s, s + int(self.problem.nV[i]))
 
-    def likelihood_basis(self, o: str) -> np.ndarray:
-        """Per-object basis (B1, B2, B3) with A = psi1·B1 + psi2·B2 + psi3·B3;
-        rows are the answered value v', columns the truth v.
-
-        Eq. (3)/(4) is linear in psi, so the basis is the worker-side
-        Eq. (1)–(4) kernel run once per round over every candidate pair
-        (v', v) of every object, and reused for every worker.
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(vp, v, B)``: every candidate pair (answer v', truth v) of every
+        object as cids, in (object, v', v) order, and the ``(3, P)`` basis
+        with ``A[v', v] = psi @ B``. Eq. (3)/(4) is linear in psi, so this is
+        the worker-side Eq. (1)–(4) kernel run once per round over every
+        pair; an exact match outside O_H (a rel-1 and a rel-2 row) is one pair.
         """
-        b = self._basis_cache.get(o)
-        if b is None:
-            p = self.problem
-            if self._pairs is None:
-                self._pairs = expand(p, np.arange(len(p.cand)), popularity=True)
-            row, cand, rel, coef = self._pairs
-            _, sl = self.cands(o)
-            lo, hi = np.searchsorted(row, [sl.start, sl.stop])
-            K = sl.stop - sl.start
-            b = np.zeros((3, K, K))
-            b[rel[lo:hi] - 1, row[lo:hi] - sl.start, cand[lo:hi] - sl.start] = coef[lo:hi]
-            self._basis_cache[o] = b
-        return b
+        row, cand, rel, coef = expand(self.problem, np.arange(len(self.problem.cand)), popularity=True)
+        new = np.ones(len(row), dtype=bool)
+        new[1:] = (row[1:] != row[:-1]) | (cand[1:] != cand[:-1])
+        B = np.zeros((3, int(new.sum())))
+        B[rel - 1, np.cumsum(new) - 1] = coef
+        return row[new], cand[new], B
+
+    def likelihood_basis(self, o: str) -> np.ndarray:
+        """Per-object basis (B1, B2, B3), a ``(3, K, K)`` view of
+        :attr:`pairs`; rows are the answered value v', columns the truth v."""
+        vp, _, B = self.pairs
+        _, sl = self.cands(o)
+        lo = int(np.searchsorted(vp, sl.start))
+        K = sl.stop - sl.start
+        return B[:, lo : lo + K * K].reshape(3, K, K)
 
 
 def onecoin_likelihood_matrix(K: int, acc: float) -> np.ndarray:
@@ -118,13 +117,8 @@ def onecoin_likelihood_matrix(K: int, acc: float) -> np.ndarray:
 def answer_likelihood(ctx: AssignContext, w: str, o: str) -> tuple[list[str], np.ndarray]:
     """(candidate values, A matrix) for worker ``w`` on object ``o``."""
     if ctx.problem is not None:
-        psi = ctx.worker_psi(w)
-        B1, B2, B3 = ctx.likelihood_basis(o)
-        _, sl = ctx.cands(o)
-        return (
-            list(ctx.problem.cand["value"][sl]),
-            psi[0] * B1 + psi[1] * B2 + psi[2] * B3,
-        )
+        values = list(ctx.problem.cand["value"][ctx.cands(o)[1]])
+        return values, np.tensordot(ctx.worker_psi(w), ctx.likelihood_basis(o), 1)
     mu = ctx.mu_map[o]
     values = sorted(mu)
     return values, onecoin_likelihood_matrix(len(values), ctx.worker_acc(w))
@@ -138,3 +132,13 @@ def mu_vector(ctx: AssignContext, o: str, values: list[str]) -> np.ndarray:
     vec = np.asarray([mu[v] for v in values])
     ctx._mu_vec_cache[o] = (values, vec)
     return vec
+
+
+def top_k(ctx: AssignContext, workers: list[str], quality) -> dict[str, list[str]]:
+    """Each of ``workers``, in that order, gets the ``k`` objects they have
+    not answered with the highest ``quality(w, o)`` (ties → object id)."""
+    out: dict[str, list[str]] = {}
+    for w in workers:
+        scored = sorted((-quality(w, o), o) for o in ctx.objects if w not in ctx.answered.get(o, ()))
+        out[w] = [o for _, o in scored[: ctx.k]]
+    return out

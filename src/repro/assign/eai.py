@@ -13,6 +13,12 @@ Implements:
   the top-k per worker in min-heaps, cascade evictions to the next
   worker, and stop when every heap is full and no remaining upper bound
   can beat any heap minimum.
+
+:func:`eai_table` evaluates EAI for every (worker, object) in one pass:
+``A = psi @ B`` over the basis of :attr:`AssignContext.pairs`, then Eq.
+(6), (16), (18) and (15) as segment sums and maxima over the pairs of each
+answer and object. Algorithm 1 reads the table: ``_eai_evals`` (Figure 13)
+counts its reads, ``_eai_pruned`` the offers its Lemma 4.1 test skipped.
 """
 from __future__ import annotations
 
@@ -24,31 +30,44 @@ import numpy as np
 from repro.assign.common import AssignContext
 
 
-def eai_quality(ctx: AssignContext, w: str, o: str) -> float:
-    """EAI(w, o) per Eq. (14)–(18)."""
-    i, sl = ctx.cands(o)
-    mu = ctx.mu[sl]
-    if len(mu) == 1:
-        return 0.0
-    N = ctx.N[sl]
-    D = float(ctx.D[i])
-    psi = ctx.worker_psi(w)
-    B1, B2, B3 = ctx.likelihood_basis(o)
-    A = psi[0] * B1 + psi[1] * B2 + psi[2] * B3
-    pv = A @ mu  # P(v_o^w = v' | psi_w, mu_o), Eq. (6)
+def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, U)``: ``Q[j, i] = EAI(ctx.workers[j], objects[i])`` per
+    Eq. (14)–(18) and ``U[i] = U_EAI(objects[i])`` of Lemma 4.1, computed
+    once per context in one pass over every (worker, candidate pair)."""
+    if ctx._eai is not None:
+        return ctx._eai
+    p = ctx.problem
+    vp, v, B = ctx.pairs
+    row_start = np.searchsorted(vp, np.arange(len(p.cand)))  # first pair of each v'
+    n_obj = len(p.objects)
+    psi = np.array([ctx.worker_psi(w) for w in ctx.workers]).reshape(-1, 3)
+    X = psi @ B  # A[v', v] of every worker, one row per worker
+    X *= ctx.mu[v]
+    pv = np.add.reduceat(X, row_start, axis=1)  # P(v_o^w = v' | psi_w, mu_o), Eq. (6)
     pv_safe = np.where(pv > 0, pv, 1.0)
-    F = A * mu[None, :] / pv_safe[:, None]  # f^v_{o,w|v'} of Eq. (16)
-    mu_cond = (N[None, :] + F) / (D + 1.0)  # Eq. (18)
-    e_max = float(pv @ mu_cond.max(axis=1))  # Eq. (15)
-    n_obj = len(ctx.mu_map)
-    return (e_max - float(mu.max())) / n_obj
+    X /= pv_safe[:, vp]  # f^v_{o,w|v'} of Eq. (16)
+    X += ctx.N[v]
+    X /= ctx.D[p.obj_of_cand[v]] + 1.0  # mu_{o,v|w,v'}, Eq. (18)
+    best = np.maximum.reduceat(X, row_start, axis=1)
+    e_max = np.add.reduceat(pv * best, p.start, axis=1)  # Eq. (15)
+    mu_max = np.maximum.reduceat(ctx.mu, p.start)
+    Q = np.where(p.nV > 1, (e_max - mu_max) / n_obj, 0.0)
+    U = (1.0 - mu_max) / (n_obj * (ctx.D + 1.0))
+    # Lemma 4.1 proves Q <= U, so any excess is rounding; clamping keeps
+    # the pruning skip (heap-min >= U) exact
+    np.minimum(Q, U, out=Q)
+    ctx._eai = Q, U
+    return ctx._eai
+
+
+def eai_quality(ctx: AssignContext, w: str, o: str) -> float:
+    """EAI(w, o) per Eq. (14)–(18), read from :func:`eai_table`."""
+    return float(eai_table(ctx)[0][ctx.workers.index(w), ctx.cands(o)[0]])
 
 
 def u_eai(ctx: AssignContext, o: str) -> float:
-    """Lemma 4.1 upper bound."""
-    i, sl = ctx.cands(o)
-    n_obj = len(ctx.mu_map)
-    return (1.0 - float(ctx.mu[sl].max())) / (n_obj * (float(ctx.D[i]) + 1.0))
+    """Lemma 4.1 upper bound, read from :func:`eai_table`."""
+    return float(eai_table(ctx)[1][ctx.cands(o)[0]])
 
 
 def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, list[str]]:
@@ -56,32 +75,29 @@ def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, lis
     benefit, cf. Figure 13)."""
     if ctx.N is None:
         raise ValueError("EAI requires a TDH result with N/D tables")
+    Q, U = eai_table(ctx)
+    quality = dict(zip(ctx.workers, Q))  # worker -> EAI per object code
+    objects = ctx.objects
     workers = sorted(ctx.workers, key=lambda w: -ctx.worker_psi(w)[0])
-    # max-heap of (-U, o); tie-break by object id for determinism
-    ub = {o: u_eai(ctx, o) for o in ctx.objects}
-    h_ub = [(-u, o) for o, u in ub.items()]
+    # max-heap of (-U, object code); codes follow object ids, so ties break by id
+    h_ub = [(-u, i) for i, u in enumerate(U.tolist())]
     heapq.heapify(h_ub)
-    heaps: dict[str, list[tuple[float, int, str]]] = {w: [] for w in workers}
+    heaps: dict[str, list[tuple[float, int, int]]] = {w: [] for w in workers}
     counter = itertools.count()
-    n_eval = 0
+    n_eval = n_pruned = 0
     while h_ub:
-        neg_u, o = heapq.heappop(h_ub)
-        u_o = -neg_u
+        neg_u, current = heapq.heappop(h_ub)
         if use_pruning and all(
-            len(heaps[w]) == ctx.k and heaps[w][0][0] > u_o for w in workers
+            len(heaps[w]) == ctx.k and heaps[w][0][0] > -neg_u for w in workers
         ):
             break
-        current = o
         for w in workers:
-            if w in ctx.answered.get(current, set()):
+            if w in ctx.answered.get(objects[current], ()):
                 continue
-            if (
-                use_pruning
-                and len(heaps[w]) == ctx.k
-                and heaps[w][0][0] >= ub.get(current, u_o)
-            ):
+            if use_pruning and len(heaps[w]) == ctx.k and heaps[w][0][0] >= U[current]:
+                n_pruned += 1
                 continue
-            q = eai_quality(ctx, w, current)
+            q = float(quality[w][current])
             n_eval += 1
             # (q, -counter): on equal quality the newest entry pops first,
             # which makes the Lemma 4.1 skip (heap-min ≥ U ≥ EAI) exactly
@@ -95,4 +111,5 @@ def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, lis
             current = evicted  # cascade the evicted object to later workers
         # objects falling off the last worker's heap are dropped this round
     ctx.result.extras["_eai_evals"] = n_eval
-    return {w: sorted(o for _, _, o in heaps[w]) for w in workers}
+    ctx.result.extras["_eai_pruned"] = n_pruned
+    return {w: sorted(objects[i] for _, _, i in heaps[w]) for w in workers}

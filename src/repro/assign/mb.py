@@ -12,6 +12,7 @@ from repro.assign.common import (
     AssignContext,
     mu_vector,
     onecoin_likelihood_matrix,
+    top_k,
 )
 
 
@@ -55,13 +56,5 @@ def mb_assign(ctx: AssignContext) -> dict[str, list[str]]:
     """Top-k per worker, independently per worker (like the original
     DOCS system; only EAI's Algorithm 1 enforces one worker per object
     per round)."""
-    out: dict[str, list[str]] = {}
-    for w in sorted(ctx.workers, key=lambda w: -ctx.worker_acc(w)):
-        scored = []
-        for o in ctx.objects:
-            if w in ctx.answered.get(o, set()):
-                continue
-            scored.append((mb_quality(ctx, w, o), o))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        out[w] = [o for _, o in scored[: ctx.k]]
-    return out
+    workers = sorted(ctx.workers, key=lambda w: -ctx.worker_acc(w))
+    return top_k(ctx, workers, lambda w, o: mb_quality(ctx, w, o))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.assign.common import AssignContext
+from repro.assign.common import AssignContext, top_k
 
 
 def me_assign(ctx: AssignContext) -> dict[str, list[str]]:
@@ -21,13 +21,4 @@ def me_assign(ctx: AssignContext) -> dict[str, list[str]]:
     # they have not answered yet (uncertainty sampling has no notion of
     # spreading the crowd; only EAI's Algorithm 1 enforces one worker
     # per object per round)
-    out: dict[str, list[str]] = {}
-    for w in ctx.workers:
-        scored = [
-            (ent[o], o)
-            for o in ctx.objects
-            if w not in ctx.answered.get(o, set())
-        ]
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        out[w] = [o for _, o in scored[: ctx.k]]
-    return out
+    return top_k(ctx, ctx.workers, lambda w, o: ent[o])

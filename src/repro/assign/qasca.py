@@ -16,6 +16,7 @@ from repro.assign.common import (
     AssignContext,
     mu_vector,
     onecoin_likelihood_matrix,
+    top_k,
 )
 
 
@@ -74,13 +75,5 @@ def qasca_assign(ctx: AssignContext) -> dict[str, list[str]]:
     the *same* high-quality objects in one round. This budget
     concentration is part of why EAI is more cost-efficient (§5.3)."""
     sampled = sample_answers(ctx)
-    out: dict[str, list[str]] = {}
-    for w in sorted(ctx.workers, key=lambda w: -ctx.worker_acc(w)):
-        scored = []
-        for o in ctx.objects:
-            if w in ctx.answered.get(o, set()):
-                continue
-            scored.append((qasca_quality(ctx, w, o, sampled[o]), o))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        out[w] = [o for _, o in scored[: ctx.k]]
-    return out
+    workers = sorted(ctx.workers, key=lambda w: -ctx.worker_acc(w))
+    return top_k(ctx, workers, lambda w, o: qasca_quality(ctx, w, o, sampled[o]))

@@ -8,7 +8,7 @@ from repro.assign.common import (
     answer_likelihood,
     onecoin_likelihood_matrix,
 )
-from repro.assign.eai import eai_assign, eai_quality, u_eai
+from repro.assign.eai import eai_assign, eai_quality, eai_table, u_eai
 from repro.assign.mb import mb_assign
 from repro.assign.me import me_assign
 from repro.assign.qasca import qasca_assign
@@ -28,6 +28,34 @@ def tdh_result(ds):
     cand = candidate_sets(ds.records)
     anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
     return TDH().fit(ds.records, None, anc)
+
+
+@pytest.fixture(scope="module")
+def answered_ctx_args(ds):
+    """A fit with worker answers, for a context that covers every case of
+    Eq. (14)–(18): workers with fitted psi, one with no answers (prior
+    psi), one with psi = (0, 0, 1) edited into the fit, so that an answer
+    v' that is an ancestor of every other candidate has P(v') = 0 (the
+    ``pv = 0`` guard), plus objects outside O_H and single-candidate objects."""
+    cand = candidate_sets(ds.records)
+    anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
+    rng = np.random.default_rng(3)
+    rows = []
+    for o, g in cand.groupby("object", sort=True):
+        values = list(g["value"])
+        for w in ("a0", "a1", "a2"):
+            if rng.random() < 0.4:
+                rows.append((o, w, values[0] if w == "a0" else rng.choice(values)))
+    answers = pd.DataFrame(rows, columns=["object", "worker", "value"])
+    res = TDH().fit(ds.records, answers, anc)
+    res.psi = pd.concat(
+        [res.psi, pd.DataFrame([{"worker": "zero", "psi1": 0.0, "psi2": 0.0, "psi3": 1.0}])],
+        ignore_index=True,
+    )
+    answered: dict[str, set[str]] = {}
+    for o, w in zip(answers["object"], answers["worker"]):
+        answered.setdefault(o, set()).add(w)
+    return res, ["a0", "a1", "a2", "fresh", "zero"], answered
 
 
 def make_ctx(result, k=5, answered=None, workers=None, seed=0):
@@ -87,7 +115,7 @@ class TestEAI:
     def test_upper_bound_holds(self, tdh_result):
         """Lemma 4.1: EAI(w, o) ≤ U_EAI(o) for every pair."""
         ctx = make_ctx(tdh_result)
-        for o in ctx.objects[:40]:
+        for o in ctx.objects:
             u = u_eai(ctx, o)
             for w in ctx.workers:
                 assert eai_quality(ctx, w, o) <= u + 1e-12
@@ -136,10 +164,85 @@ class TestEAI:
         full = r2.extras["_eai_evals"]
         assert pruned <= full
 
+    def test_table_matches_dense_oracle(self, tdh_result, answered_ctx_args):
+        """Every entry of the batched table equals Eq. (14)–(18) evaluated
+        densely for that one (w, o), on a fit without and with answers."""
+        res, workers, answered = answered_ctx_args
+        plain = make_ctx(tdh_result)
+        fitted = make_ctx(make_result_copy(res), workers=workers, answered=answered)
+        p = fitted.problem
+        assert set(workers[:3]) <= set(res.psi["worker"]) and "fresh" not in set(res.psi["worker"])
+        assert (~p.oh).any() and p.oh.any() and (p.nV == 1).any()
+        zero_pv = 0
+        for ctx in (plain, fitted):
+            Q, _ = eai_table(ctx)
+            dense = np.zeros_like(Q)
+            for j, w in enumerate(ctx.workers):
+                for i, o in enumerate(ctx.objects):
+                    dense[j, i], z = dense_eai(ctx, w, o)
+                    zero_pv += z
+            np.testing.assert_allclose(Q, dense, rtol=1e-12, atol=1e-15)
+        assert zero_pv > 0
+
+    def test_table_within_bound_exactly(self, tdh_result, answered_ctx_args):
+        """Lemma 4.1 with no rounding slack: the pruning skip relies on it.
+        The third context reproduces what EM rounding does at scale: the
+        μ of a single-candidate object lands one ulp above 1, so U_EAI is
+        a hair below the 0 that Eq. (14) gives."""
+        res, workers, answered = answered_ctx_args
+        rounded = make_result_copy(tdh_result)
+        p = tdh_result.extras["problem"]
+        rounded.mu = tdh_result.mu.copy()
+        rounded.mu.loc[int(p.start[np.flatnonzero(p.nV == 1)[0]]), "mu"] = np.nextafter(1.0, 2.0)
+        for ctx in (
+            make_ctx(tdh_result),
+            make_ctx(make_result_copy(res), workers=workers, answered=answered),
+            make_ctx(rounded),
+        ):
+            Q, U = eai_table(ctx)
+            assert Q.shape == (len(ctx.workers), len(ctx.objects))
+            assert (Q <= U).all()
+
+    def test_pruning_matches_unpruned_with_answers(self, answered_ctx_args):
+        res, workers, answered = answered_ctx_args
+        assert answered
+        a = eai_assign(make_ctx(make_result_copy(res), workers=workers, answered=answered), use_pruning=True)
+        b = eai_assign(make_ctx(make_result_copy(res), workers=workers, answered=answered), use_pruning=False)
+        assert a == b
+
+    def test_pruned_offers_reported(self, tdh_result):
+        r1 = make_result_copy(tdh_result)
+        eai_assign(make_ctx(r1), use_pruning=True)
+        r2 = make_result_copy(tdh_result)
+        eai_assign(make_ctx(r2), use_pruning=False)
+        assert r1.extras["_eai_pruned"] > 0
+        assert r2.extras["_eai_pruned"] == 0
+
     def test_requires_nd_tables(self, ds):
         ctx = make_ctx(vote(ds.records))
         with pytest.raises(ValueError, match="N/D"):
             eai_assign(ctx)
+
+
+def dense_eai(ctx, w, o):
+    """EAI(w, o) per Eq. (14)–(18) from the K×K likelihood matrix of one
+    (worker, object), and the number of answers v' with P(v') = 0: the
+    independent oracle for the batched table."""
+    i, sl = ctx.cands(o)
+    mu = ctx.mu[sl]
+    if len(mu) == 1:
+        return 0.0, 0
+    N = ctx.N[sl]
+    D = float(ctx.D[i])
+    psi = ctx.worker_psi(w)
+    B1, B2, B3 = ctx.likelihood_basis(o)
+    A = psi[0] * B1 + psi[1] * B2 + psi[2] * B3
+    pv = A @ mu  # Eq. (6)
+    pv_safe = np.where(pv > 0, pv, 1.0)
+    F = A * mu[None, :] / pv_safe[:, None]  # Eq. (16)
+    mu_cond = (N[None, :] + F) / (D + 1.0)  # Eq. (18)
+    e_max = float(pv @ mu_cond.max(axis=1))  # Eq. (15)
+    return (e_max - float(mu.max())) / len(ctx.objects), int((pv == 0).sum())
 
 
 def make_result_copy(res):
