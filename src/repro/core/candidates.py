@@ -11,7 +11,11 @@ relation ``(object, value, anc)`` produced here — either from a
 :func:`compile_problem` integer-codes records and ancestor pairs into a
 :class:`Problem` (candidate ids, ``|V_o|``, ``|G_o(v)|``, ``O_H``, the
 popularity counts of Eq. 3–4) and validates them; :func:`code_answers`
-codes and validates worker answers against it. :func:`expand` is the one
+codes and validates worker answers against it. Both work on integer
+keys: names are coded once per column by their sorted rank, and every
+later match (ancestor pairs, answers, repeated pairs) is a ``searchsorted``
+or an adjacent-equal test on ``object code · |values| + value code``
+(or ``object code · |agents| + agent code``). :func:`expand` is the one
 implementation of the data-dependent coefficients of Eq. (1)–(4): the
 E-step of both TDH engines and the assigners' answer likelihood use it.
 The tests hold it equal to an independent SQL derivation of its rows.
@@ -87,7 +91,7 @@ class Problem:
     """
 
     cand: pd.DataFrame  # (object, value); row number = cid
-    index: pd.MultiIndex  # (object, value) -> cid lookup
+    index: pd.MultiIndex  # (object, value) -> cid; levels: the sorted names, codes: their ranks
     objects: list[str]  # sorted; position = object code
     obj_of_cand: np.ndarray  # object code of each cid
     start: np.ndarray  # first cid of each object
@@ -106,18 +110,29 @@ def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
     (object, value, anc) into the arrays both TDH engines and the
     assigners share.
 
+    Objects and values are coded by their rank among the sorted distinct
+    names, and the cid of a candidate is the rank of its key ``object code
+    · |values| + value code`` among the distinct keys, so cids follow
+    :func:`candidate_sets`. Names are looked up once per column; all
+    further matching is ``searchsorted`` on integer keys.
+
     Raises ``ValueError`` on a repeated (object, source) pair and on an
     ancestor pair whose endpoints are not candidates of its object.
     """
-    cand = candidate_sets(records)
-    obj_of_cand, objects = pd.factorize(cand["object"], sort=True)
-    n_obj, n_cand = len(objects), len(cand)
-    index = pd.MultiIndex.from_frame(cand)
+    obj, objects = pd.factorize(records["object"], sort=True)
+    val, values = pd.factorize(records["value"], sort=True)
+    keys, rec_cid = np.unique(obj * len(values) + val, return_inverse=True)
+    obj_of_cand, val_of_cand = np.divmod(keys, len(values))
+    index = pd.MultiIndex(
+        levels=[objects, values], codes=[obj_of_cand, val_of_cand], names=["object", "value"]
+    )
+    n_obj, n_cand = len(objects), len(keys)
     nV = np.bincount(obj_of_cand, minlength=n_obj)
     anc = np.zeros((0, 2), dtype=np.int64)
     if len(anc_pairs):
-        desc = index.get_indexer(pd.MultiIndex.from_arrays([anc_pairs["object"], anc_pairs["value"]]))
-        up = index.get_indexer(pd.MultiIndex.from_arrays([anc_pairs["object"], anc_pairs["anc"]]))
+        o = objects.get_indexer(anc_pairs["object"])
+        desc = _lookup(keys, len(values), o, values.get_indexer(anc_pairs["value"]))
+        up = _lookup(keys, len(values), o, values.get_indexer(anc_pairs["anc"]))
         bad = np.flatnonzero((desc < 0) | (up < 0))
         if len(bad):
             o, v, a = anc_pairs[["object", "value", "anc"]].iloc[bad[0]]
@@ -126,10 +141,10 @@ def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
         anc = np.stack([key // n_cand, key % n_cand], axis=1)
     oh = np.zeros(n_obj, dtype=bool)
     oh[obj_of_cand[anc[:, 0]]] = True
-    sources = _code(index, records, "source")
+    sources = _code(records, "source", obj, rec_cid)
     cnt = np.bincount(sources.cid, minlength=n_cand).astype(float)
     return Problem(
-        cand=cand,
+        cand=pd.DataFrame({"object": objects.take(obj_of_cand), "value": values.take(val_of_cand)}),
         index=index,
         objects=list(objects),
         obj_of_cand=obj_of_cand,
@@ -152,20 +167,42 @@ def code_answers(problem: Problem, answers: pd.DataFrame) -> Claims:
     Raises ``ValueError`` on a repeated (object, worker) pair and on a value
     that is not a candidate of its object (answers select from ``V_o``).
     """
-    return _code(problem.index, answers, "worker")
+    objects, values = problem.index.levels
+    keys = problem.obj_of_cand * len(values) + problem.index.codes[1]
+    # The answers' own object codes, so that answers on objects the problem
+    # lacks stay distinct in the repeated-pair check.
+    obj, names = pd.factorize(answers["object"], sort=True)
+    o = objects.get_indexer(names)[obj]
+    cid = _lookup(keys, len(values), o, values.get_indexer(answers["value"]))
+    return _code(answers, "worker", obj, cid)
 
 
-def _code(index: pd.MultiIndex, claims: pd.DataFrame, agent_col: str) -> Claims:
-    if claims.duplicated(["object", agent_col]).any():
+def _lookup(keys: np.ndarray, n_values: int, obj: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The cid of each (object code, value code) pair; -1 where either code
+    is -1 (an unknown name) or the pair is not a candidate."""
+    key = obj * n_values + val
+    cid = np.searchsorted(keys, key)
+    found = (obj >= 0) & (val >= 0) & (cid < len(keys))
+    found[found] = keys[cid[found]] == key[found]
+    return np.where(found, cid, -1)
+
+
+def _code(claims: pd.DataFrame, agent_col: str, obj: np.ndarray, cid: np.ndarray) -> Claims:
+    """``claims`` sorted by (object, agent) as :class:`Claims`; ``obj`` codes
+    their objects in sorted order and ``cid`` is each claim's candidate
+    (-1 for none)."""
+    agent, agents = pd.factorize(claims[agent_col], sort=True)
+    key = obj * len(agents) + agent
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
         raise ValueError(f"at most one claim per (object, {agent_col}) is allowed")
-    claims = claims.sort_values(["object", agent_col])
-    cid = index.get_indexer(pd.MultiIndex.from_arrays([claims["object"], claims["value"]]))
+    cid = cid[order]
     bad = np.flatnonzero(cid < 0)
     if len(bad):
-        o, v = claims[["object", "value"]].iloc[bad[0]]
+        o, v = claims[["object", "value"]].iloc[order[bad[0]]]
         raise ValueError(f"claimed value {v!r} not a candidate of {o!r}")
-    agent, agents = pd.factorize(claims[agent_col], sort=True)
-    return Claims(cid=cid, agent=agent, agents=list(agents))
+    return Claims(cid=cid, agent=agent[order], agents=list(agents))
 
 
 def expand(problem: Problem, claim_cid: np.ndarray, popularity: bool):

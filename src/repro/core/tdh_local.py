@@ -14,8 +14,12 @@ Implements the paper's EM algorithm (§3.2, Fig. 4, Eq. 9–11) exactly:
 The problem is compiled by :func:`repro.core.candidates.compile_problem`
 into integer-coded numpy arrays and each side's claims are expanded over
 their candidates by the Eq. (1)–(4) kernel
-:func:`repro.core.candidates.expand`. The E-step (:func:`_estep`) is a
-handful of ``np.bincount`` segment reductions over that expanded relation.
+:func:`repro.core.candidates.expand` into the block format ``(row, ar,
+cand, coef)`` of :func:`_side`. The E-step (:func:`_estep`) is three
+``np.bincount`` segment reductions per side over that expanded relation:
+the per-claim normaliser, the Eq. (9) numerators per cid, and the
+Eq. (10)/(11) sums per (agent, relationship) as one fused sum over the
+flat index ``ar``.
 Its coefficients and its per-claim normaliser depend only on the claim's
 object, so the E-step over all objects is the sum (:func:`_add`) of the
 E-steps over disjoint blocks of objects; only the M-step needs the totals.
@@ -36,7 +40,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.candidates import Claims, Problem, code_answers, compile_problem, expand
-from repro.core.result import InferenceResult, argmax_truths
+from repro.core.result import InferenceResult
 
 
 class TDH:
@@ -135,14 +139,15 @@ def initial_mu(p: Problem, workers: Claims | None, gamma: float) -> np.ndarray:
 
 def _side(problem: Problem, claims: Claims, popularity: bool):
     """One side's claims (sources or workers) expanded over the candidates
-    of their objects by the Eq. (1)–(4) kernel, as the arrays ``(row, agent,
-    cand, rel, coef)``: claim index, its source / worker code, cid of the
-    conditioning truth v, 1 exact / 2 generalized / 3 wrong, and the static
-    coefficient multiplying phi/psi[rel]. Rows are sorted by claim, so by
-    object. Plain arrays, so Spark workers can load them without this
-    package."""
+    of their objects by the Eq. (1)–(4) kernel, as the arrays ``(row, ar,
+    cand, coef)``: claim index; ``ar = 3·agent + rel − 1``, the flat index
+    of the claim's source / worker and relationship (rel 1 exact, 2
+    generalized, 3 wrong) into phi/psi; cid of the conditioning truth v;
+    and the static coefficient multiplying phi/psi[agent, rel]. Rows are
+    sorted by claim, so by object. Plain arrays, so Spark workers can load
+    them without this package."""
     row, cand, rel, coef = expand(problem, claims.cid, popularity)
-    return row, claims.agent[row], cand, rel, coef
+    return row, claims.agent[row] * 3 + (rel - 1), cand, coef
 
 
 def _estep(block, mu: np.ndarray, phi: np.ndarray, psi: np.ndarray | None):
@@ -160,14 +165,17 @@ def _estep(block, mu: np.ndarray, phi: np.ndarray, psi: np.ndarray | None):
 
 
 def _side_estep(rows, param: np.ndarray, mu: np.ndarray):
-    """One side's part of :func:`_estep`; ``param`` is its phi or psi."""
-    row, agent, cand, rel, coef = rows
-    w = param[agent, rel - 1] * coef * mu[cand]
+    """One side's part of :func:`_estep`; ``param`` is its phi or psi.
+
+    The per-(agent, relationship) sums are one ``bincount`` over the flat
+    index ``ar``: each bin adds the same responsibilities in the same
+    (row) order as a per-relationship sum would."""
+    row, ar, cand, coef = rows
+    w = param.take(ar)
+    w *= coef
+    w *= mu.take(cand)
     f = w / np.bincount(row, w)[row]
-    g = np.zeros((len(param), 3))
-    for t in (1, 2, 3):
-        m = rel == t
-        g[:, t - 1] = np.bincount(agent[m], f[m], minlength=len(param))
+    g = np.bincount(ar, f, minlength=param.size).reshape(-1, 3)
     return np.bincount(cand, f, minlength=len(mu)), g
 
 
@@ -200,7 +208,7 @@ def _package(
         psi_df.insert(0, "worker", workers.agents)
         wacc = pd.DataFrame({"worker": workers.agents, "acc": psi[:, 0]})
     return InferenceResult(
-        truths=argmax_truths(mu_df),
+        truths=_truths(p, mu),
         mu=mu_df,
         phi=phi_df,
         psi=psi_df,
@@ -209,3 +217,12 @@ def _package(
         worker_accuracy=wacc,
         extras={"n_iter": n_iter, "converged": converged, "problem": p},
     )
+
+
+def _truths(p: Problem, mu: np.ndarray) -> pd.DataFrame:
+    """The candidate of highest ``mu`` per object, the first (smallest
+    value) on ties: :func:`repro.core.result.argmax_truths` as segment
+    reductions over the cid-ordered ``mu``."""
+    top = np.maximum.reduceat(mu, p.start)[p.obj_of_cand]
+    first = np.minimum.reduceat(np.where(mu == top, np.arange(len(mu)), len(mu)), p.start)
+    return p.cand.take(first).reset_index(drop=True)

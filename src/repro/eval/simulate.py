@@ -110,9 +110,11 @@ def run_crowdsourcing(
     anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
     gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
     gold_cand = dict(zip(gold["object"], gold["truth"]))
-    cands_by_obj: dict[str, list[str]] = {
-        o: list(g["value"]) for o, g in cand.groupby("object", sort=True)
-    }
+    objs = cand["object"].to_numpy()
+    cut = np.flatnonzero(objs[1:] != objs[:-1]) + 1  # cand is sorted by object
+    cands_by_obj: dict[str, list[str]] = dict(
+        zip(objs[np.r_[0, cut]], (v.tolist() for v in np.split(cand["value"].to_numpy(), cut)))
+    )
     answers = pd.DataFrame(columns=["object", "worker", "value"])
     history = []
 

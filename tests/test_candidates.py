@@ -6,11 +6,14 @@ import pytest
 
 from repro.core.candidates import (
     candidate_sets,
+    code_answers,
     hierarchical_ancestor_pairs,
     compile_problem,
     expand,
     numeric_ancestor_pairs_df,
 )
+from repro.datagen.stock import stock_lite
+from repro.datagen.truthdata import birthplaces_lite
 from repro.hierarchy import Hierarchy
 from repro.hierarchy.tree import ROOT
 
@@ -110,6 +113,86 @@ class TestCompileProblem:
         assert bool(p.oh[o2]) is False
         sl = slice(p.start[o2], p.start[o2] + int(p.nV[o2]))
         assert np.all(p.gen_cnt[sl] == 0.0)
+
+
+def _pandas_compile(records, anc_pairs, answers):
+    """The compiled arrays by pandas label lookups on (object, value): the
+    reference the integer-keyed compiler must reproduce exactly."""
+    cand = candidate_sets(records)
+    index = pd.MultiIndex.from_frame(cand)
+    n = len(cand)
+
+    def cid(obj, value):
+        return index.get_indexer(pd.MultiIndex.from_arrays([obj, value]))
+
+    def code(claims, agent_col):
+        claims = claims.sort_values(["object", agent_col])
+        agent, agents = pd.factorize(claims[agent_col], sort=True)
+        return cid(claims["object"], claims["value"]), agent, list(agents)
+
+    desc = cid(anc_pairs["object"], anc_pairs["value"])
+    key = np.unique(desc * n + cid(anc_pairs["object"], anc_pairs["anc"]))
+    anc = np.stack([key // n, key % n], axis=1)
+    sources = code(records, "source")
+    cnt = np.bincount(sources[0], minlength=n).astype(float)
+    return {
+        "cand": cand,
+        "sources": sources,
+        "workers": code(answers, "worker"),
+        "anc": anc,
+        "nG": np.bincount(anc[:, 0], minlength=n).astype(float),
+        "cnt": cnt,
+        "gen_cnt": np.bincount(anc[:, 0], cnt[anc[:, 1]], minlength=n),
+    }
+
+
+def _birthplaces():
+    ds = birthplaces_lite(sf=0.05, seed=0)
+    return ds.records, hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+
+
+def _stock():
+    records = stock_lite("eps", sf=0.05, seed=7).records
+    return records, numeric_ancestor_pairs_df(candidate_sets(records))
+
+
+@pytest.mark.parametrize("make", [_birthplaces, _stock], ids=["birthplaces", "numeric"])
+def test_compile_matches_pandas_reference(make):
+    records, anc_pairs = make()
+    # One claimed value of every third object, answered by four workers.
+    picked = records[["object", "value"]].drop_duplicates("object").iloc[::3]
+    answers = pd.concat([picked.assign(worker=f"w{w}") for w in range(4)])[["object", "worker", "value"]]
+    p = compile_problem(records, anc_pairs)
+    workers = code_answers(p, answers)
+    want = _pandas_compile(records, anc_pairs, answers)
+    assert len(anc_pairs) and p.anc.shape == want["anc"].shape
+    assert p.cand.equals(want["cand"])
+    assert p.index.equals(pd.MultiIndex.from_frame(want["cand"]))
+    assert p.objects == list(want["cand"]["object"].unique())
+    for got, ref in ((p.sources, want["sources"]), (workers, want["workers"])):
+        assert np.array_equal(got.cid, ref[0]) and np.array_equal(got.agent, ref[1]) and got.agents == ref[2]
+    for name in ("anc", "nG", "cnt", "gen_cnt"):
+        assert np.array_equal(getattr(p, name), want[name]), name
+
+
+@pytest.mark.parametrize(
+    "anc_rows,answer_rows,match",
+    [
+        ([("o1", "NY", "Paris")], [], r"ancestor pair \(o1,NY,Paris\) not in candidate set"),
+        ([("o2", "LibertyIsland", "NY")], [], r"ancestor pair \(o2,LibertyIsland,NY\) not in candidate set"),
+        ([], [("o2", "w1", "LibertyIsland")], "'LibertyIsland' not a candidate of 'o2'"),
+        ([], [("o9", "w1", "NY"), ("o8", "w1", "LA")], "'LA' not a candidate of 'o8'"),
+        ([], [("o2", "w1", "Paris")], "'Paris' not a candidate of 'o2'"),
+        ([], [("o9", "w1", "NY"), ("o9", "w1", "LA")], r"at most one claim per \(object, worker\)"),
+    ],
+    ids=["unknown-value", "other-objects-value", "answer-other-objects-value",
+         "first-of-two-unknown-objects", "answer-unknown-value", "duplicate-on-unknown-object"],
+)
+def test_malformed_input_rejected(recs, anc_rows, answer_rows, match):
+    anc = pd.DataFrame(anc_rows, columns=["object", "value", "anc"])
+    with pytest.raises(ValueError, match=match):
+        p = compile_problem(recs, anc)
+        code_answers(p, pd.DataFrame(answer_rows, columns=["object", "worker", "value"]))
 
 
 @pytest.fixture()

@@ -3,8 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.candidates import candidate_sets, compile_problem, hierarchical_ancestor_pairs
-from repro.core.tdh_local import TDH
+from repro.core.candidates import candidate_sets, compile_problem, expand, hierarchical_ancestor_pairs
+from repro.core.result import argmax_truths
+from repro.core.tdh_local import TDH, _compile, _side, _side_estep, initial_mu
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
@@ -121,6 +122,9 @@ class TestEMInvariants:
         r2 = TDH().fit(ds.records, None, anc)
         pd.testing.assert_frame_equal(r1.mu, r2.mu)
 
+    def test_truths_equal_argmax_truths(self, res):
+        assert res.truths.equals(argmax_truths(res.mu))
+
     def test_convergence_flag(self, ds, res):
         assert 1 <= res.extras["n_iter"] <= 100
 
@@ -143,6 +147,48 @@ def test_converged_reported(tdh, converged):
     res = tdh.fit(ds.records, None, anc)
     assert res.extras["converged"] is converged
     assert (res.extras["n_iter"] < tdh.max_iter) is converged
+
+
+def _side_estep_per_relationship(rows, param, mu):
+    """One side's E-step with a masked sum per relationship: the reference
+    the fused ``_side_estep`` must reproduce bit for bit."""
+    row, agent, cand, rel, coef = rows
+    w = param[agent, rel - 1] * coef * mu[cand]
+    f = w / np.bincount(row, w)[row]
+    g = np.zeros((len(param), 3))
+    for t in (1, 2, 3):
+        m = rel == t
+        g[:, t - 1] = np.bincount(agent[m], f[m], minlength=len(param))
+    return np.bincount(cand, f, minlength=len(mu)), g
+
+
+def test_fused_estep_equals_per_relationship_sums():
+    ds = birthplaces_lite(sf=0.02, seed=0)
+    anc = hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+    p = compile_problem(ds.records, anc)
+    # Answers on objects in and outside O_H and on single-candidate objects.
+    rng = np.random.default_rng(0)
+    kinds = [p.oh & (p.nV > 1), ~p.oh & (p.nV > 1), p.nV == 1]
+    objs = np.concatenate([np.flatnonzero(k)[:8] for k in kinds])
+    answers = pd.DataFrame(
+        [
+            (p.objects[o], f"w{w}", p.cand["value"][p.start[o] + rng.integers(p.nV[o])])
+            for w in range(4)
+            for o in objs
+        ],
+        columns=["object", "worker", "value"],
+    )
+    p, workers = _compile(ds.records, answers, anc)
+    for k in kinds:
+        assert np.isin(np.flatnonzero(k), p.obj_of_cand[workers.cid]).any()
+    for mu in (initial_mu(p, workers, 2.0), rng.random(len(p.cand))):
+        for claims, popularity in ((p.sources, False), (workers, True)):
+            param = rng.dirichlet(np.ones(3), len(claims.agents))
+            row, cand, rel, coef = expand(p, claims.cid, popularity)
+            want = _side_estep_per_relationship((row, claims.agent[row], cand, rel, coef), param, mu)
+            got = _side_estep(_side(p, claims, popularity), param, mu)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 class TestWorkerSide:
@@ -233,6 +279,15 @@ class TestModelStructure:
         res = _fit(_records(rows), h)
         assert res.truth_map()["o1"] == "NY"
         assert res.mu_map()["o1"]["NY"] == pytest.approx(1.0)
+
+    def test_tied_truth_is_smallest_value(self, h):
+        """Two sources in symmetric disagreement leave both candidates with
+        the same mu; the truth is the smaller value, as in argmax_truths."""
+        res = _fit(_records([("o1", "s1", "Manchester"), ("o1", "s2", "London")]), h)
+        mu = res.mu_map()["o1"]
+        assert mu["London"] == mu["Manchester"]
+        assert res.truth_map()["o1"] == "London"
+        assert res.truths.equals(argmax_truths(res.mu))
 
     def test_prepare_marks_oh_objects(self, h):
         recs = _records(
