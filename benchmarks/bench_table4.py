@@ -46,7 +46,7 @@ def test_eai_assignment_with_pruning(benchmark, fitted):
         r = _copy(fitted)
         ctx = AssignContext(
             result=r, workers=[f"w{i}" for i in range(10)], k=5,
-            answered={}, rng=np.random.default_rng(0),
+            answers=None, rng=np.random.default_rng(0),
         )
         eai_assign(ctx, use_pruning=True)
         return r.extras["_eai_evals"]
@@ -62,7 +62,7 @@ def test_eai_assignment_without_pruning(benchmark, fitted):
         r = _copy(fitted)
         ctx = AssignContext(
             result=r, workers=[f"w{i}" for i in range(10)], k=5,
-            answered={}, rng=np.random.default_rng(0),
+            answers=None, rng=np.random.default_rng(0),
         )
         eai_assign(ctx, use_pruning=False)
         return r.extras["_eai_evals"]

@@ -40,7 +40,7 @@ def main() -> None:
         result=res,
         workers=[f"w{i}" for i in range(args.workers)],
         k=args.k,
-        answered={},
+        answers=None,
         rng=np.random.default_rng(args.seed),
     )
     assignment = eai_assign(ctx)

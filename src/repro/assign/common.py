@@ -1,92 +1,115 @@
-"""Shared plumbing for the task assigners.
+"""Shared plumbing for the task assigners: one array layout, one selection.
 
-The central object is the per-(worker, object) *answer likelihood
-matrix* ``A[v', v] = P(v_o^w = v' | v_o^* = v)``:
+:class:`AssignContext` lays every inference result out the same way: the
+rows of ``result.mu`` in (object, value) order, cut into objects by
+``start``/``nV``, next to the round's workers' parameters (``psi``,
+``acc``) and a W × |O| ``answered`` mask. Each assigner computes a score
+table over that layout. QASCA, MB and ME then pick with :func:`top_k`,
+a masked top-k with ties broken by object id; EAI picks with Algorithm 1's
+heap walk (:mod:`repro.assign.eai`).
 
-* with a TDH result we evaluate Eq. (3)/(4) from ``psi_w`` and the
-  fit's compiled problem (:mod:`repro.core.candidates`);
-* with baseline results (DOCS/LCA/ACCU/POPACCU) we use the symmetric
-  one-coin model implied by their estimated worker accuracy.
+Worker answer models:
+
+* with a TDH result, ``A[v', v] = psi_w @ (B1, B2, B3)[v', v]`` over the
+  Eq. (3)/(4) basis of every candidate pair (:attr:`AssignContext.pairs`);
+* QASCA and MB use the symmetric one-coin model of a scalar worker
+  accuracy (:func:`onecoin_matrix`).
 
 Workers with no answers yet fall back to prior-mean parameters.
-:func:`top_k` is the per-worker selection QASCA, MB and ME share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import pandas as pd
 
-from repro.core.candidates import Problem, expand
+from repro.core.candidates import expand
 from repro.core.result import InferenceResult
 
 
 @dataclass
 class AssignContext:
-    """Everything an assigner may need for one round."""
+    """Everything an assigner may need for one round.
+
+    Built from ``result.mu``, whose rows must be in strictly increasing
+    (object, value) order:
+
+    * ``objects`` (sorted ids; position = object code), ``start`` and
+      ``nV`` (first row and candidate count of each object) and ``mu``;
+    * ``psi`` (W × 3, the TDH trustworthiness, prior mean for unseen
+      workers) and ``acc`` (W, the scalar worker accuracy, 0.7 if
+      unseen), aligned with ``workers``;
+    * ``answered`` (W × |O|): worker j already answered object i;
+    * TDH results only: the fit's compiled ``problem`` and its ``N``
+      (per row) and ``D`` (per object) arrays; else ``None``.
+    """
 
     result: InferenceResult
     workers: list[str]
     k: int
-    answered: dict[str, set[str]]  # object -> workers who already answered it
+    answers: pd.DataFrame | None  # (object, worker, value) collected so far
     rng: np.random.Generator
-    # TDH results only: the fit's compiled problem and its mu/N (per cid)
-    # and D (per object) arrays
-    problem: Problem | None = field(init=False, default=None)
-    mu: np.ndarray | None = field(init=False, default=None)
-    N: np.ndarray | None = field(init=False, default=None)
-    D: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
+        mu = self.result.mu
+        obj, val = mu["object"].to_numpy(), mu["value"].to_numpy()
+        new = obj[1:] != obj[:-1]
+        if not ((obj[1:] >= obj[:-1]).all() and (val[1:][~new] > val[:-1][~new]).all()):
+            raise ValueError("result.mu rows must be in strictly increasing (object, value) order")
+        self.start = np.flatnonzero(np.r_[True, new])
+        self.nV = np.diff(np.r_[self.start, len(obj)])
+        self.objects: list[str] = obj[self.start].tolist()
+        self.mu = mu["mu"].to_numpy(dtype=float)
+        self.psi = self._per_worker(self.result.psi, ["psi1", "psi2", "psi3"], 1 / 3)
+        self.acc = self._per_worker(self.result.worker_accuracy, ["acc"], 0.7)[:, 0]
+        self.answered = np.zeros((len(self.workers), len(self.objects)), dtype=bool)
+        if self.answers is not None and len(self.answers):
+            i = pd.Index(self.objects).get_indexer(self.answers["object"])
+            if (i < 0).any():
+                raise ValueError(
+                    f"answer on object {self.answers['object'].iloc[np.argmax(i < 0)]!r}, "
+                    "which result.mu does not cover"
+                )
+            j = pd.Index(self.workers).get_indexer(self.answers["worker"])
+            self.answered[j[j >= 0], i[j >= 0]] = True
         self.problem = self.result.extras.get("problem")
+        self.N = self.D = None
         if self.problem is not None:
-            self._obj_code = {o: i for i, o in enumerate(self.problem.objects)}
-            self.mu = self.result.mu["mu"].to_numpy(dtype=float)
             self.N = self.result.N["N"].to_numpy(dtype=float)
             self.D = self.result.D["D"].to_numpy(dtype=float)
-        psi, acc = self.result.psi, self.result.worker_accuracy
-        self._psi_cache: dict[str, np.ndarray] = {} if psi is None else dict(
-            zip(psi["worker"], psi[["psi1", "psi2", "psi3"]].to_numpy(dtype=float))
-        )
-        self._acc_cache: dict[str, float] = {} if acc is None else dict(
-            zip(acc["worker"], acc["acc"].astype(float))
-        )
         self._eai = None  # the round's EAI table, filled by repro.assign.eai
-        self._mu_vec_cache: dict[str, tuple[list[str], np.ndarray]] = {}
+
+    def _per_worker(self, frame: pd.DataFrame | None, cols: list[str], default: float) -> np.ndarray:
+        """``frame[cols]`` row of each of ``workers``, ``default`` if absent."""
+        out = np.full((len(self.workers), len(cols)), default)
+        if frame is not None:
+            at = pd.Index(frame["worker"]).get_indexer(self.workers)
+            out[at >= 0] = frame[cols].to_numpy(dtype=float)[at[at >= 0]]
+        return out
 
     @cached_property
-    def mu_map(self) -> dict[str, dict[str, float]]:
-        """object -> {value: mu}; built on first use (EAI never reads it)."""
-        return self.result.mu_map()
-
-    @property
-    def objects(self) -> list[str]:
-        if self.problem is not None:
-            return self.problem.objects
-        return sorted(self.mu_map)
-
-    def worker_psi(self, w: str) -> np.ndarray:
-        """TDH trustworthiness of ``w`` (beta prior mean if unseen)."""
-        return self._psi_cache.get(w, np.asarray([1 / 3, 1 / 3, 1 / 3]))
-
-    def worker_acc(self, w: str, default: float = 0.7) -> float:
-        """Scalar worker accuracy for one-coin worker models."""
-        return self._acc_cache.get(w, default)
-
-    def cands(self, o: str) -> tuple[int, slice]:
-        """Object code of ``o`` and the cid slice of its candidates."""
-        i = self._obj_code[o]
-        s = int(self.problem.start[i])
-        return i, slice(s, s + int(self.problem.nV[i]))
+    def groups(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(K, objs, rows)`` for each candidate count K: the codes of the
+        objects with K candidates and their ``mu`` rows, one object per row
+        of a ``len(objs) × K`` index matrix. A sum, maximum or matrix
+        product over the last axis of ``mu[rows]`` rounds exactly as it
+        does on one object's vector."""
+        out = []
+        for K in np.unique(self.nV):
+            objs = np.flatnonzero(self.nV == K)
+            out.append((int(K), objs, self.start[objs, None] + np.arange(K)))
+        return out
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(vp, v, B)``: every candidate pair (answer v', truth v) of every
-        object as cids, in (object, v', v) order, and the ``(3, P)`` basis
-        with ``A[v', v] = psi @ B``. Eq. (3)/(4) is linear in psi, so this is
-        the worker-side Eq. (1)–(4) kernel run once per round over every
-        pair; an exact match outside O_H (a rel-1 and a rel-2 row) is one pair.
+        """TDH results: ``(vp, v, B)``, every candidate pair (answer v',
+        truth v) of every object as cids, in (object, v', v) order, and the
+        ``(3, P)`` basis with ``A[v', v] = psi @ B``. Eq. (3)/(4) is linear
+        in psi, so this is the worker-side Eq. (1)–(4) kernel run once per
+        round over every pair; an exact match outside O_H (a rel-1 and a
+        rel-2 row) is one pair.
         """
         row, cand, rel, coef = expand(self.problem, np.arange(len(self.problem.cand)), popularity=True)
         new = np.ones(len(row), dtype=bool)
@@ -95,50 +118,28 @@ class AssignContext:
         B[rel - 1, np.cumsum(new) - 1] = coef
         return row[new], cand[new], B
 
-    def likelihood_basis(self, o: str) -> np.ndarray:
-        """Per-object basis (B1, B2, B3), a ``(3, K, K)`` view of
-        :attr:`pairs`; rows are the answered value v', columns the truth v."""
-        vp, _, B = self.pairs
-        _, sl = self.cands(o)
-        lo = int(np.searchsorted(vp, sl.start))
-        K = sl.stop - sl.start
-        return B[:, lo : lo + K * K].reshape(3, K, K)
+
+def onecoin_matrix(K: int, acc) -> np.ndarray:
+    """The one-coin answer likelihood ``A[v', v]`` over K candidates of each
+    accuracy in ``acc`` (shape ``acc.shape + (K, K)``): correct w.p.
+    ``acc``, else uniform over the other ``K - 1``; certain if ``K = 1``."""
+    acc = np.asarray(acc)[..., None, None]
+    return np.where(np.eye(K, dtype=bool), acc if K > 1 else 1.0, (1.0 - acc) / max(K - 1, 1))
 
 
-def onecoin_likelihood_matrix(K: int, acc: float) -> np.ndarray:
-    """Symmetric worker model: correct w.p. acc, else uniform error."""
-    if K == 1:
-        return np.ones((1, 1))
-    A = np.full((K, K), (1.0 - acc) / (K - 1))
-    np.fill_diagonal(A, acc)
-    return A
+def xlogx(p: np.ndarray) -> np.ndarray:
+    """``p log p``, with 0 where ``p = 0``."""
+    return p * np.log(np.where(p > 0, p, 1.0))
 
 
-def answer_likelihood(ctx: AssignContext, w: str, o: str) -> tuple[list[str], np.ndarray]:
-    """(candidate values, A matrix) for worker ``w`` on object ``o``."""
-    if ctx.problem is not None:
-        values = list(ctx.problem.cand["value"][ctx.cands(o)[1]])
-        return values, np.tensordot(ctx.worker_psi(w), ctx.likelihood_basis(o), 1)
-    mu = ctx.mu_map[o]
-    values = sorted(mu)
-    return values, onecoin_likelihood_matrix(len(values), ctx.worker_acc(w))
-
-
-def mu_vector(ctx: AssignContext, o: str, values: list[str]) -> np.ndarray:
-    cached = ctx._mu_vec_cache.get(o)
-    if cached is not None and cached[0] == values:
-        return cached[1]
-    mu = ctx.mu_map[o]
-    vec = np.asarray([mu[v] for v in values])
-    ctx._mu_vec_cache[o] = (values, vec)
-    return vec
-
-
-def top_k(ctx: AssignContext, workers: list[str], quality) -> dict[str, list[str]]:
-    """Each of ``workers``, in that order, gets the ``k`` objects they have
-    not answered with the highest ``quality(w, o)`` (ties → object id)."""
+def top_k(ctx: AssignContext, order, Q: np.ndarray) -> dict[str, list[str]]:
+    """Each worker ``ctx.workers[j]``, j in ``order``, gets the ``k``
+    objects it has not answered with the highest score ``Q[j]`` (ties →
+    object id). ``Q`` is W × |O|, or one row that every worker shares."""
+    Q = np.broadcast_to(Q, ctx.answered.shape)
     out: dict[str, list[str]] = {}
-    for w in workers:
-        scored = sorted((-quality(w, o), o) for o in ctx.objects if w not in ctx.answered.get(o, ()))
-        out[w] = [o for _, o in scored[: ctx.k]]
+    for j in order:
+        free = np.flatnonzero(~ctx.answered[j])
+        best = free[np.lexsort((free, -Q[j, free]))[: ctx.k]]
+        out[ctx.workers[j]] = [ctx.objects[i] for i in best]
     return out

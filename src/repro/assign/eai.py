@@ -40,8 +40,7 @@ def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
     vp, v, B = ctx.pairs
     row_start = np.searchsorted(vp, np.arange(len(p.cand)))  # first pair of each v'
     n_obj = len(p.objects)
-    psi = np.array([ctx.worker_psi(w) for w in ctx.workers]).reshape(-1, 3)
-    X = psi @ B  # A[v', v] of every worker, one row per worker
+    X = ctx.psi @ B  # A[v', v] of every worker, one row per worker
     X *= ctx.mu[v]
     pv = np.add.reduceat(X, row_start, axis=1)  # P(v_o^w = v' | psi_w, mu_o), Eq. (6)
     pv_safe = np.where(pv > 0, pv, 1.0)
@@ -60,29 +59,19 @@ def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
     return ctx._eai
 
 
-def eai_quality(ctx: AssignContext, w: str, o: str) -> float:
-    """EAI(w, o) per Eq. (14)–(18), read from :func:`eai_table`."""
-    return float(eai_table(ctx)[0][ctx.workers.index(w), ctx.cands(o)[0]])
-
-
-def u_eai(ctx: AssignContext, o: str) -> float:
-    """Lemma 4.1 upper bound, read from :func:`eai_table`."""
-    return float(eai_table(ctx)[1][ctx.cands(o)[0]])
-
-
 def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, list[str]]:
     """Algorithm 1 (with the Lemma 4.1 pruning; disable to measure its
     benefit, cf. Figure 13)."""
     if ctx.N is None:
         raise ValueError("EAI requires a TDH result with N/D tables")
     Q, U = eai_table(ctx)
-    quality = dict(zip(ctx.workers, Q))  # worker -> EAI per object code
+    quality, answered = Q.tolist(), ctx.answered.tolist()  # the walk reads single entries
     objects = ctx.objects
-    workers = sorted(ctx.workers, key=lambda w: -ctx.worker_psi(w)[0])
+    workers = np.argsort(-ctx.psi[:, 0], kind="stable").tolist()  # worker codes by psi_{w,1}
     # max-heap of (-U, object code); codes follow object ids, so ties break by id
     h_ub = [(-u, i) for i, u in enumerate(U.tolist())]
     heapq.heapify(h_ub)
-    heaps: dict[str, list[tuple[float, int, int]]] = {w: [] for w in workers}
+    heaps: dict[int, list[tuple[float, int, int]]] = {w: [] for w in workers}
     counter = itertools.count()
     n_eval = n_pruned = 0
     while h_ub:
@@ -92,12 +81,12 @@ def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, lis
         ):
             break
         for w in workers:
-            if w in ctx.answered.get(objects[current], ()):
+            if answered[w][current]:
                 continue
             if use_pruning and len(heaps[w]) == ctx.k and heaps[w][0][0] >= U[current]:
                 n_pruned += 1
                 continue
-            q = float(quality[w][current])
+            q = quality[w][current]
             n_eval += 1
             # (q, -counter): on equal quality the newest entry pops first,
             # which makes the Lemma 4.1 skip (heap-min ≥ U ≥ EAI) exactly
@@ -112,4 +101,4 @@ def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, lis
         # objects falling off the last worker's heap are dropped this round
     ctx.result.extras["_eai_evals"] = n_eval
     ctx.result.extras["_eai_pruned"] = n_pruned
-    return {w: sorted(objects[i] for _, _, i in heaps[w]) for w in workers}
+    return {ctx.workers[w]: sorted(objects[i] for _, _, i in heaps[w]) for w in workers}

@@ -7,54 +7,49 @@ reduction* of the confidence distribution under that worker's
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 
-from repro.assign.common import (
-    AssignContext,
-    mu_vector,
-    onecoin_likelihood_matrix,
-    top_k,
-)
+from repro.assign.common import AssignContext, onecoin_matrix, top_k, xlogx
 
 
-def _entropy(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
-
-
-def _domain_acc(ctx: AssignContext, w: str, o: str) -> float:
-    """DOCS per-domain worker quality if available, else scalar accuracy."""
+def _domain_acc(ctx: AssignContext) -> np.ndarray:
+    """W × |O|: DOCS per-domain worker quality where known, else the
+    worker's scalar accuracy."""
+    acc = np.broadcast_to(ctx.acc[:, None], ctx.answered.shape)
     dq = ctx.result.extras.get("domain_quality")
     doms = ctx.result.extras.get("domains")
-    if dq is not None and doms is not None:
-        q = dq.get((f"w:{w}", doms.get(o)))
-        if q is not None:
-            return float(q)
-    return ctx.worker_acc(w)
+    if dq is None or doms is None:
+        return acc
+    code, names = pd.factorize(pd.Series(ctx.objects).map(doms))
+    # W × |domains|; the last column (code -1) is an object without a domain
+    by_dom = [[dq.get((f"w:{w}", d), np.nan) for d in [*names, None]] for w in ctx.workers]
+    q = np.reshape(by_dom, (len(ctx.workers), -1))[:, code]
+    return np.where(np.isnan(q), acc, q)
 
 
-def mb_quality(ctx: AssignContext, w: str, o: str) -> float:
-    mu = ctx.mu_map[o]
-    values = sorted(mu)
-    if len(values) == 1:
-        return 0.0
-    m = mu_vector(ctx, o, values)
-    A = onecoin_likelihood_matrix(len(values), _domain_acc(ctx, w, o))
-    pv = A @ m
-    exp_h = 0.0
-    for vp in range(len(values)):
-        if pv[vp] <= 0:
+def mb_table(ctx: AssignContext) -> np.ndarray:
+    """W × |O| expected entropy reduction, for all workers and the objects
+    of one candidate count at a time; 0 for single-candidate objects."""
+    acc = _domain_acc(ctx)
+    Q = np.zeros(ctx.answered.shape)
+    for K, objs, rows in ctx.groups:
+        if K == 1:
             continue
-        post = m * A[vp, :]
-        z = post.sum()
-        if z <= 0:
-            continue
-        exp_h += pv[vp] * _entropy(post / z)
-    return _entropy(m) - exp_h
+        mu = ctx.mu[rows]
+        A = onecoin_matrix(K, acc[:, objs])  # W × objs × v' × v
+        pv = (A @ mu[..., None])[..., 0]  # P(v') = (A mu)[v']
+        post = mu[:, None, :] * A
+        z = post.sum(axis=3)
+        ok = (pv > 0) & (z > 0)
+        h = -xlogx(post / np.where(ok, z, 1.0)[..., None]).sum(axis=3)  # H(mu_o | v')
+        exp_h = np.where(ok, pv * h, 0.0).cumsum(axis=2)[..., -1]
+        Q[:, objs] = -xlogx(mu).sum(axis=1) - exp_h
+    return Q
 
 
 def mb_assign(ctx: AssignContext) -> dict[str, list[str]]:
     """Top-k per worker, independently per worker (like the original
     DOCS system; only EAI's Algorithm 1 enforces one worker per object
     per round)."""
-    workers = sorted(ctx.workers, key=lambda w: -ctx.worker_acc(w))
-    return top_k(ctx, workers, lambda w, o: mb_quality(ctx, w, o))
+    workers = np.argsort(-ctx.acc, kind="stable")  # by accuracy, ties in given order
+    return top_k(ctx, workers, mb_table(ctx))

@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.assign.common import AssignContext, top_k
+from repro.assign.common import AssignContext, top_k, xlogx
 
 
 def me_assign(ctx: AssignContext) -> dict[str, list[str]]:
-    ent: dict[str, float] = {}
-    for o, mu in ctx.mu_map.items():
-        p = np.asarray(list(mu.values()))
-        p = p[p > 0]
-        ent[o] = float(-(p * np.log(p)).sum())
+    # each object's -p log p terms are summed in ascending-p order, so
+    # objects with the same multiset of confidences tie exactly
+    ent = np.zeros(len(ctx.objects))
+    for _, objs, rows in ctx.groups:
+        ent[objs] = -xlogx(np.sort(ctx.mu[rows], axis=1)).sum(axis=1)
     # each worker independently receives the k most uncertain objects
     # they have not answered yet (uncertainty sampling has no notion of
     # spreading the crowd; only EAI's Algorithm 1 enforces one worker
     # per object per round)
-    return top_k(ctx, ctx.workers, lambda w, o: ent[o])
+    return top_k(ctx, range(len(ctx.workers)), ent)

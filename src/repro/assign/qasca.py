@@ -7,63 +7,62 @@ from the predictive answer distribution. The paper's criticism — the
 measure is sampling-sensitive and ignores how many claims were already
 collected — is intrinsic to this construction and is what Figure 7
 measures; we keep it faithful.
+
+QASCA is an external task-assignment system: it consumes the inference
+algorithm's confidences but evaluates answers with its own
+(hierarchy-blind) one-coin worker model — which is exactly why the paper
+finds its improvement estimates inaccurate on hierarchical data.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.assign.common import (
-    AssignContext,
-    mu_vector,
-    onecoin_likelihood_matrix,
-    top_k,
-)
+from repro.assign.common import AssignContext, onecoin_matrix, top_k
 
 
-def _worker_matrix(ctx: AssignContext, w: str, K: int) -> np.ndarray:
-    """QASCA's own worker model: a one-coin QP matrix.
-
-    QASCA is an external task-assignment system; it consumes the
-    inference algorithm's confidences but evaluates answers with its own
-    (hierarchy-blind) worker accuracy model — which is exactly why the
-    paper finds its improvement estimates inaccurate on hierarchical
-    data."""
-    return onecoin_likelihood_matrix(K, ctx.worker_acc(w))
-
-
-def sample_answers(ctx: AssignContext) -> dict[str, int]:
-    """One sampled answer index per object per round.
+def sample_answers(ctx: AssignContext) -> np.ndarray:
+    """One sampled answer per object per round, as a position in the
+    object's candidates.
 
     QASCA evaluates its quality with a *sampled* answer; the TDH paper's
     criticism is precisely that the measure is very sensitive to this
     sample, so the sample is drawn once per object (not per worker —
-    resampling per worker would average the sensitivity away)."""
-    ref = ctx.workers[0] if ctx.workers else "w?"
-    out: dict[str, int] = {}
-    for o in ctx.objects:
-        values = sorted(ctx.mu_map[o])
-        mu = mu_vector(ctx, o, values)
-        A = _worker_matrix(ctx, ref, len(values))
-        pv = np.clip(A @ mu, 0.0, None)
-        if len(values) == 1 or pv.sum() <= 0:
-            out[o] = 0
+    resampling per worker would average the sensitivity away), from the
+    answer distribution of the first worker. Objects with one candidate
+    draw nothing; the others draw in object order, each by inverting its
+    CDF the way ``Generator.choice`` does, so the random stream is that of
+    one ``choice`` call per object."""
+    acc = ctx.acc[0] if len(ctx.workers) else 0.7
+    cdfs = []
+    draw = np.zeros(len(ctx.objects), dtype=bool)
+    for K, objs, rows in ctx.groups:
+        pv = np.clip(onecoin_matrix(K, acc) @ ctx.mu[rows, None], 0.0, None)[..., 0]
+        total = pv.sum(axis=1)
+        ok = (total > 0) & (K > 1)
+        cdf = (pv[ok] / total[ok, None]).cumsum(axis=1)
+        cdfs.append((objs[ok], cdf / cdf[:, -1:]))
+        draw[objs[ok]] = True
+    u = np.zeros(len(ctx.objects))
+    u[draw] = ctx.rng.random(int(draw.sum()))
+    pick = np.zeros(len(ctx.objects), dtype=np.int64)
+    for objs, cdf in cdfs:
+        pick[objs] = (cdf <= u[objs, None]).sum(axis=1)  # searchsorted(cdf, u, side="right")
+    return pick
+
+
+def qasca_table(ctx: AssignContext, sampled: np.ndarray) -> np.ndarray:
+    """W × |O| QASCA quality ``(max_v mu_{o,v|w} - max_v mu_{o,v}) / |O|``
+    of each object's sampled answer, 0 for single-candidate objects."""
+    Q = np.zeros(ctx.answered.shape)
+    for K, objs, rows in ctx.groups:
+        if K == 1:
             continue
-        out[o] = int(ctx.rng.choice(len(values), p=pv / pv.sum()))
-    return out
-
-
-def qasca_quality(ctx: AssignContext, w: str, o: str, vp: int) -> float:
-    values = sorted(ctx.mu_map[o])
-    mu = mu_vector(ctx, o, values)
-    if len(values) == 1:
-        return 0.0
-    A = _worker_matrix(ctx, w, len(values))
-    post = mu * A[vp, :]
-    z = post.sum()
-    if z <= 0:
-        return 0.0
-    post /= z
-    return (float(post.max()) - float(mu.max())) / len(ctx.mu_map)
+        mu = ctx.mu[rows]
+        post = mu * onecoin_matrix(K, ctx.acc)[:, sampled[objs]]  # W × objs × v: mu_v · P(v' | v)
+        z = post.sum(axis=2)
+        best = post.max(axis=2) / np.where(z > 0, z, 1.0)
+        Q[:, objs] = np.where(z > 0, (best - mu.max(axis=1)) / len(ctx.objects), 0.0)
+    return Q
 
 
 def qasca_assign(ctx: AssignContext) -> dict[str, list[str]]:
@@ -74,6 +73,5 @@ def qasca_assign(ctx: AssignContext) -> dict[str, list[str]]:
     individually-best k questions — so several workers routinely receive
     the *same* high-quality objects in one round. This budget
     concentration is part of why EAI is more cost-efficient (§5.3)."""
-    sampled = sample_answers(ctx)
-    workers = sorted(ctx.workers, key=lambda w: -ctx.worker_acc(w))
-    return top_k(ctx, workers, lambda w, o: qasca_quality(ctx, w, o, sampled[o]))
+    workers = np.argsort(-ctx.acc, kind="stable")  # by accuracy, ties in given order
+    return top_k(ctx, workers, qasca_table(ctx, sample_answers(ctx)))

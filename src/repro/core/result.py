@@ -15,7 +15,9 @@ class InferenceResult:
     truths:
         (object, value) — the estimated truth ``v_o^*`` per object.
     mu:
-        (object, value, mu) — confidence distribution over candidates.
+        (object, value, mu) — confidence distribution over candidates,
+        one row per candidate in (object, value) order, the layout every
+        assigner reads (:class:`repro.assign.common.AssignContext`).
         Baselines without a probabilistic model report normalized scores
         here so entropy/QASCA-style assigners can still consume them.
     phi / psi:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.hierarchy import Hierarchy, generate_hierarchy
 
@@ -39,9 +38,6 @@ class TruthDataset:
     gold: pd.DataFrame  # columns: object, truth (raw truth node)
     hierarchy: Hierarchy
     source_profiles: pd.DataFrame = field(repr=False, default=None)  # type: ignore[assignment]
-
-    def records_spark(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.records)
 
     @property
     def objects(self) -> list[str]:

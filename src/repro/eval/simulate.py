@@ -131,7 +131,6 @@ def run_crowdsourcing(
 
     res = infer(ds, cand, anc, ds.records, None)
     log_round(0, res)
-    answered: dict[str, set[str]] = {}
     worker_ids = [w.worker for w in workers]
     by_id = {w.worker: w for w in workers}
     for r in range(1, rounds + 1):
@@ -139,7 +138,7 @@ def run_crowdsourcing(
             result=res,
             workers=worker_ids,
             k=k,
-            answered=answered,
+            answers=answers,
             rng=rng,
         )
         assignment = assigner(ctx)
@@ -148,7 +147,6 @@ def run_crowdsourcing(
             for o in objs:
                 v = by_id[w_id].answer(rng, cands_by_obj[o], gold_cand.get(o, ""))
                 new_rows.append((o, w_id, v))
-                answered.setdefault(o, set()).add(w_id)
         if new_rows:
             answers = pd.concat(
                 [answers, pd.DataFrame(new_rows, columns=["object", "worker", "value"])],

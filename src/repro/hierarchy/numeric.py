@@ -30,10 +30,6 @@ def _decimal_places_safe(value: str) -> int | None:
         return None
 
 
-def parse(value: str) -> Decimal:
-    return Decimal(value)
-
-
 def rounds_to(vd: str, va: str) -> bool:
     """True iff rounding ``vd`` at ``va``'s precision (half-up) gives ``va``."""
     try:

@@ -3,15 +3,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.assign.common import (
-    AssignContext,
-    answer_likelihood,
-    onecoin_likelihood_matrix,
-)
-from repro.assign.eai import eai_assign, eai_quality, eai_table, u_eai
-from repro.assign.mb import mb_assign
+from repro.assign.common import AssignContext, onecoin_matrix
+from repro.assign.eai import eai_assign, eai_table
+from repro.assign.mb import mb_assign, mb_table
 from repro.assign.me import me_assign
-from repro.assign.qasca import qasca_assign
+from repro.assign.qasca import qasca_assign, qasca_table, sample_answers
 from repro.baselines.vote import vote
 from repro.core.candidates import candidate_sets, expand, hierarchical_ancestor_pairs
 from repro.core.tdh_local import TDH
@@ -52,36 +48,62 @@ def answered_ctx_args(ds):
         [res.psi, pd.DataFrame([{"worker": "zero", "psi1": 0.0, "psi2": 0.0, "psi3": 1.0}])],
         ignore_index=True,
     )
-    answered: dict[str, set[str]] = {}
-    for o, w in zip(answers["object"], answers["worker"]):
-        answered.setdefault(o, set()).add(w)
-    return res, ["a0", "a1", "a2", "fresh", "zero"], answered
+    return res, ["a0", "a1", "a2", "fresh", "zero"], answers
 
 
-def make_ctx(result, k=5, answered=None, workers=None, seed=0):
+def make_ctx(result, k=5, answers=None, workers=None, seed=0):
     return AssignContext(
         result=result,
         workers=workers or [f"w{i}" for i in range(4)],
         k=k,
-        answered=answered or {},
+        answers=answers,
         rng=np.random.default_rng(seed),
     )
 
 
+def cands(ctx, o):
+    """Object code of ``o`` and the ``mu`` row slice of its candidates."""
+    i = ctx.objects.index(o)
+    s = int(ctx.start[i])
+    return i, slice(s, s + int(ctx.nV[i]))
+
+
+def likelihood_basis(ctx, o):
+    """Object ``o``'s basis (B1, B2, B3), a ``(3, K, K)`` slice of
+    ``ctx.pairs``; rows are the answered value v', columns the truth v."""
+    vp, _, B = ctx.pairs
+    _, sl = cands(ctx, o)
+    lo = int(np.searchsorted(vp, sl.start))
+    K = sl.stop - sl.start
+    return B[:, lo : lo + K * K].reshape(3, K, K)
+
+
+def onecoin_reference(K, acc):
+    """The K × K one-coin answer likelihood ``A[v', v]``, built directly."""
+    if K == 1:
+        return np.ones((1, 1))
+    A = np.full((K, K), (1.0 - acc) / (K - 1))
+    np.fill_diagonal(A, acc)
+    return A
+
+
 class TestLikelihoodMatrices:
     def test_onecoin_columns_normalized(self):
-        A = onecoin_likelihood_matrix(4, 0.8)
+        A = onecoin_matrix(4, 0.8)
         assert np.allclose(A.sum(axis=0), 1.0)
         assert np.allclose(np.diag(A), 0.8)
+        np.testing.assert_array_equal(
+            onecoin_matrix(4, [0.8, 0.6]), [onecoin_reference(4, 0.8), onecoin_reference(4, 0.6)]
+        )
 
     def test_onecoin_single_candidate(self):
-        assert onecoin_likelihood_matrix(1, 0.8)[0, 0] == 1.0
+        assert onecoin_matrix(1, 0.8)[0, 0] == 1.0
 
     def test_tdh_matrix_columns_sum_near_one(self, tdh_result):
         """Eq. (3)/(4) columns sum to 1 whenever every class is reachable."""
         ctx = make_ctx(tdh_result)
         psi = np.asarray([0.5, 0.3, 0.2])
-        B1, B2, B3 = ctx.likelihood_basis(ctx.problem.objects[0])
+        B1, B2, B3 = likelihood_basis(ctx, ctx.problem.objects[0])
         A = psi[0] * B1 + psi[1] * B2 + psi[2] * B3
         assert (A >= 0).all()
         assert (A.sum(axis=0) <= 1.0 + 1e-9).all()
@@ -92,40 +114,53 @@ class TestLikelihoodMatrices:
         rows for that object alone."""
         ctx = make_ctx(tdh_result)
         o = ctx.objects[0]
-        _, sl = ctx.cands(o)
+        _, sl = cands(ctx, o)
         psi = np.asarray([0.6, 0.25, 0.15])
         row, cand, rel, coef = expand(ctx.problem, np.arange(sl.start, sl.stop), popularity=True)
         direct = np.zeros((sl.stop - sl.start,) * 2)
         np.add.at(direct, (row, cand - sl.start), psi[rel - 1] * coef)
-        B1, B2, B3 = ctx.likelihood_basis(o)
+        B1, B2, B3 = likelihood_basis(ctx, o)
         assert np.allclose(direct, psi[0] * B1 + psi[1] * B2 + psi[2] * B3)
 
-    def test_answer_likelihood_tdh_path(self, tdh_result):
-        ctx = make_ctx(tdh_result)
-        values, A = answer_likelihood(ctx, "w0", ctx.objects[0])
-        assert A.shape == (len(values), len(values))
+    def test_answer_likelihood_tdh_path(self, answered_ctx_args):
+        """TDH: A = psi_w @ basis, with the fitted psi of a worker who
+        answered and the prior mean for one who did not."""
+        res, workers, answers = answered_ctx_args
+        ctx = make_ctx(res, workers=workers, answers=answers)
+        fitted = res.psi.set_index("worker").loc["a1"].to_numpy()
+        np.testing.assert_array_equal(ctx.psi[1], fitted)
+        np.testing.assert_array_equal(ctx.psi[3], [1 / 3, 1 / 3, 1 / 3])
+        K = int(ctx.nV[0])
+        A = np.tensordot(ctx.psi[1], likelihood_basis(ctx, ctx.objects[0]), 1)
+        assert A.shape == (K, K)
 
     def test_answer_likelihood_onecoin_path(self, ds):
-        ctx = make_ctx(vote(ds.records))
-        values, A = answer_likelihood(ctx, "w0", ctx.objects[0])
-        assert np.allclose(np.diag(A), ctx.worker_acc("w0")) or len(values) == 1
+        """Baselines: the one-coin model of the reported worker accuracy,
+        0.7 for a worker the result does not know."""
+        res = make_result_copy(vote(ds.records))
+        res.worker_accuracy = pd.DataFrame({"worker": ["w1"], "acc": [0.9]})
+        ctx = make_ctx(res)
+        np.testing.assert_array_equal(ctx.acc, [0.7, 0.9, 0.7, 0.7])
+        K = int(ctx.nV.max())
+        assert np.allclose(np.diag(onecoin_matrix(K, ctx.acc[1])), 0.9)
 
 
 class TestEAI:
     def test_upper_bound_holds(self, tdh_result):
         """Lemma 4.1: EAI(w, o) ≤ U_EAI(o) for every pair."""
         ctx = make_ctx(tdh_result)
-        for o in ctx.objects:
-            u = u_eai(ctx, o)
-            for w in ctx.workers:
-                assert eai_quality(ctx, w, o) <= u + 1e-12
+        Q, U = eai_table(ctx)
+        for i in range(len(ctx.objects)):
+            u = U[i]
+            for j in range(len(ctx.workers)):
+                assert Q[j, i] <= u + 1e-12
 
     def test_single_candidate_zero(self, tdh_result):
         ctx = make_ctx(tdh_result)
-        singles = [o for o in ctx.objects if ctx.problem.nV[ctx.cands(o)[0]] == 1]
-        if not singles:
+        singles = np.flatnonzero(ctx.nV == 1)
+        if not len(singles):
             pytest.skip("no single-candidate objects at this scale")
-        assert eai_quality(ctx, "w0", singles[0]) == 0.0
+        assert eai_table(ctx)[0][0, singles[0]] == 0.0
 
     def test_assign_respects_k(self, tdh_result):
         ctx = make_ctx(tdh_result, k=3)
@@ -144,8 +179,11 @@ class TestEAI:
         w0_objs = baseline["w0"]
         if not w0_objs:
             pytest.skip("w0 got no objects")
-        answered = {o: {"w0", "w1", "w2", "w3"} for o in w0_objs}
-        ctx = make_ctx(make_result_copy(tdh_result), k=5, answered=answered)
+        answers = pd.DataFrame(
+            [(o, w, "") for o in w0_objs for w in ("w0", "w1", "w2", "w3")],
+            columns=["object", "worker", "value"],
+        )
+        ctx = make_ctx(make_result_copy(tdh_result), k=5, answers=answers)
         out = eai_assign(ctx)
         for objs in out.values():
             assert not set(objs) & set(w0_objs)
@@ -167,9 +205,9 @@ class TestEAI:
     def test_table_matches_dense_oracle(self, tdh_result, answered_ctx_args):
         """Every entry of the batched table equals Eq. (14)–(18) evaluated
         densely for that one (w, o), on a fit without and with answers."""
-        res, workers, answered = answered_ctx_args
+        res, workers, answers = answered_ctx_args
         plain = make_ctx(tdh_result)
-        fitted = make_ctx(make_result_copy(res), workers=workers, answered=answered)
+        fitted = make_ctx(make_result_copy(res), workers=workers, answers=answers)
         p = fitted.problem
         assert set(workers[:3]) <= set(res.psi["worker"]) and "fresh" not in set(res.psi["worker"])
         assert (~p.oh).any() and p.oh.any() and (p.nV == 1).any()
@@ -189,14 +227,14 @@ class TestEAI:
         The third context reproduces what EM rounding does at scale: the
         μ of a single-candidate object lands one ulp above 1, so U_EAI is
         a hair below the 0 that Eq. (14) gives."""
-        res, workers, answered = answered_ctx_args
+        res, workers, answers = answered_ctx_args
         rounded = make_result_copy(tdh_result)
         p = tdh_result.extras["problem"]
         rounded.mu = tdh_result.mu.copy()
         rounded.mu.loc[int(p.start[np.flatnonzero(p.nV == 1)[0]]), "mu"] = np.nextafter(1.0, 2.0)
         for ctx in (
             make_ctx(tdh_result),
-            make_ctx(make_result_copy(res), workers=workers, answered=answered),
+            make_ctx(make_result_copy(res), workers=workers, answers=answers),
             make_ctx(rounded),
         ):
             Q, U = eai_table(ctx)
@@ -204,10 +242,10 @@ class TestEAI:
             assert (Q <= U).all()
 
     def test_pruning_matches_unpruned_with_answers(self, answered_ctx_args):
-        res, workers, answered = answered_ctx_args
-        assert answered
-        a = eai_assign(make_ctx(make_result_copy(res), workers=workers, answered=answered), use_pruning=True)
-        b = eai_assign(make_ctx(make_result_copy(res), workers=workers, answered=answered), use_pruning=False)
+        res, workers, answers = answered_ctx_args
+        assert len(answers)
+        a = eai_assign(make_ctx(make_result_copy(res), workers=workers, answers=answers), use_pruning=True)
+        b = eai_assign(make_ctx(make_result_copy(res), workers=workers, answers=answers), use_pruning=False)
         assert a == b
 
     def test_pruned_offers_reported(self, tdh_result):
@@ -228,14 +266,14 @@ def dense_eai(ctx, w, o):
     """EAI(w, o) per Eq. (14)–(18) from the K×K likelihood matrix of one
     (worker, object), and the number of answers v' with P(v') = 0: the
     independent oracle for the batched table."""
-    i, sl = ctx.cands(o)
+    i, sl = cands(ctx, o)
     mu = ctx.mu[sl]
     if len(mu) == 1:
         return 0.0, 0
     N = ctx.N[sl]
     D = float(ctx.D[i])
-    psi = ctx.worker_psi(w)
-    B1, B2, B3 = ctx.likelihood_basis(o)
+    psi = ctx.psi[ctx.workers.index(w)]
+    B1, B2, B3 = likelihood_basis(ctx, o)
     A = psi[0] * B1 + psi[1] * B2 + psi[2] * B3
     pv = A @ mu  # Eq. (6)
     pv_safe = np.where(pv > 0, pv, 1.0)
@@ -297,6 +335,40 @@ class TestQASCA:
         out = qasca_assign(make_ctx(lca(ds.records), k=3))
         assert all(len(v) <= 3 for v in out.values())
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_samples_match_choice_per_object(self, tdh_result, seed):
+        """The batched draw is one ``rng.choice`` per object with more than
+        one candidate, in object order, from the first worker's answer
+        distribution — same samples, same random stream afterwards."""
+        ctx = make_ctx(make_result_copy(tdh_result), seed=seed)
+        rng = np.random.default_rng(seed)
+        expect = []
+        for o in ctx.objects:
+            i, sl = cands(ctx, o)
+            mu = ctx.mu[sl]
+            pv = np.clip(onecoin_reference(len(mu), ctx.acc[0]) @ mu, 0.0, None)
+            expect.append(rng.choice(len(mu), p=pv / pv.sum()) if len(mu) > 1 else 0)
+        assert (ctx.nV == 1).any()
+        np.testing.assert_array_equal(sample_answers(ctx), expect)
+        assert ctx.rng.random() == rng.random()
+
+    def test_table_matches_dense_oracle(self, ds, answered_ctx_args):
+        """Every entry equals, bit for bit, QASCA's quality evaluated on
+        that one (w, o), on a TDH fit with answers (fitted and unseen
+        workers) and on a one-coin baseline."""
+        from repro.baselines.lca import lca
+
+        res, workers, answers = answered_ctx_args
+        for ctx in (make_ctx(res, workers=workers, answers=answers), make_ctx(lca(ds.records))):
+            sampled = sample_answers(ctx)
+            Q = qasca_table(ctx, sampled)
+            dense = np.zeros_like(Q)
+            for j in range(len(ctx.workers)):
+                for i, o in enumerate(ctx.objects):
+                    sl = cands(ctx, o)[1]
+                    dense[j, i] = dense_qasca(ctx.mu[sl], ctx.acc[j], sampled[i], len(ctx.objects))
+            np.testing.assert_array_equal(Q, dense)
+
 
 class TestMBAndME:
     def test_mb_assign_shape(self, ds):
@@ -306,20 +378,117 @@ class TestMBAndME:
         out = mb_assign(make_ctx(res, k=4))
         assert all(len(v) <= 4 for v in out.values())
 
+    def test_mb_table_matches_dense_oracle(self, ds, answered_ctx_args):
+        """Every entry equals, bit for bit, the expected entropy reduction
+        evaluated on that one (w, o), under DOCS's per-domain accuracy of
+        workers who answered and the scalar fallback of one who did not."""
+        from repro.baselines.docs import docs
+
+        _, workers, answers = answered_ctx_args
+        res = docs(ds.records, answers, hierarchy=ds.hierarchy)
+        ctx = make_ctx(res, workers=workers, answers=answers)
+        dq, doms = res.extras["domain_quality"], res.extras["domains"]
+        assert ("w:a0", doms[ctx.objects[0]]) in dq and (ctx.nV == 1).any()
+        Q = mb_table(ctx)
+        dense = np.zeros_like(Q)
+        for j, w in enumerate(ctx.workers):
+            for i, o in enumerate(ctx.objects):
+                acc = dq.get((f"w:{w}", doms.get(o)), ctx.acc[j])
+                dense[j, i] = dense_mb(ctx.mu[cands(ctx, o)[1]], acc)
+        np.testing.assert_array_equal(Q, dense)
+
     def test_me_picks_highest_entropy(self, ds):
+        """Exact oracle: entropies from ``result.mu`` by a pandas groupby,
+        and each worker's full k=5 list in (−entropy, object id) order over
+        the objects it has not answered."""
         res = vote(ds.records)
-        ctx = make_ctx(res, k=1, workers=["w0"])
-        out = me_assign(ctx)
-        ent = {}
-        for o, mu in ctx.mu_map.items():
-            p = np.asarray(list(mu.values()))
-            p = p[p > 0]
-            ent[o] = float(-(p * np.log(p)).sum())
-        best = max(sorted(ent), key=lambda o: ent[o])
-        assert out["w0"] == [max(sorted(ent), key=lambda o: (ent[o], ))] or ent[out["w0"][0]] == pytest.approx(ent[best])
+        mu = res.mu.sort_values(["object", "mu"])
+        ent = (-(mu["mu"] * np.log(mu["mu"].where(mu["mu"] > 0, 1.0)))).groupby(mu["object"]).sum()
+        order = ent.reset_index(name="h").sort_values(["h", "object"], ascending=[False, True])
+        ranking = order["object"].tolist()
+        assert ent[ranking[:6]].duplicated().any()  # the top objects include exact ties
+        taken = ranking[0:3:2]
+        answers = pd.DataFrame({"object": taken, "worker": "w1", "value": ""})
+        out = me_assign(make_ctx(res, k=5, workers=["w0", "w1"], answers=answers))
+        assert out == {"w0": ranking[:5], "w1": [o for o in ranking if o not in taken][:5]}
+
+    def test_me_ties_equal_multisets_exactly(self):
+        """Two objects with the same 9 confidences in different value
+        orders have exactly the same entropy, so the lower object id wins
+        (summed in value order, ``b`` came out one ulp higher)."""
+        from repro.core.result import InferenceResult, argmax_truths
+
+        k = [1, 2, 3, 4, 5, 6, 7, 8, 9] + [9, 3, 5, 6, 7, 4, 1, 2, 8]
+        values = [f"v{i}" for i in range(9)]
+        mu = pd.DataFrame({"object": ["a"] * 9 + ["b"] * 9, "value": values * 2, "mu": np.divide(k, 45)})
+        res = InferenceResult(truths=argmax_truths(mu), mu=mu)
+        assert me_assign(make_ctx(res, k=1, workers=["w0"])) == {"w0": ["a"]}
 
     def test_me_workers_share_top_objects(self, ds):
         """Every worker gets the same most-uncertain objects (no spread)."""
         out = me_assign(make_ctx(vote(ds.records), k=5))
         lists = list(out.values())
         assert all(objs == lists[0] for objs in lists)
+
+
+def dense_mb(mu, acc):
+    """MB's expected entropy reduction of one (w, o), evaluated on that
+    object's vector alone: the oracle for :func:`mb_table`."""
+
+    def h(p):
+        p = p[p > 0]
+        return float(-(p * np.log(p)).sum())
+
+    if len(mu) == 1:
+        return 0.0
+    A = onecoin_reference(len(mu), acc)
+    pv = A @ mu
+    exp_h = 0.0
+    for vp in range(len(mu)):
+        post = mu * A[vp]
+        if pv[vp] > 0 and post.sum() > 0:
+            exp_h += pv[vp] * h(post / post.sum())
+    return h(mu) - exp_h
+
+
+def dense_qasca(mu, acc, vp, n_obj):
+    """QASCA's quality of one (w, o) for the sampled answer ``vp``,
+    evaluated on that object's vector alone."""
+    if len(mu) == 1:
+        return 0.0
+    post = mu * onecoin_reference(len(mu), acc)[vp]
+    if post.sum() <= 0:
+        return 0.0
+    return (float((post / post.sum()).max()) - float(mu.max())) / n_obj
+
+
+class TestLayout:
+    def test_tdh_layout_is_the_problem(self, tdh_result):
+        ctx = make_ctx(tdh_result)
+        p = tdh_result.extras["problem"]
+        assert ctx.objects == p.objects
+        np.testing.assert_array_equal(ctx.start, p.start)
+        np.testing.assert_array_equal(ctx.nV, p.nV)
+
+    @pytest.mark.parametrize("bad", ["swapped", "repeated"])
+    def test_unordered_mu_rejected(self, ds, bad):
+        res = make_result_copy(vote(ds.records))
+        i = int(np.flatnonzero(res.mu["object"].to_numpy()[1:] == res.mu["object"].to_numpy()[:-1])[0])
+        rows = [i + 1, i] if bad == "swapped" else [i, i]
+        order = np.r_[np.arange(i), rows, np.arange(i + 2, len(res.mu))]
+        res.mu = res.mu.iloc[order].reset_index(drop=True)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            make_ctx(res)
+
+    def test_answer_outside_layout_rejected(self, tdh_result):
+        o = tdh_result.mu["object"].iloc[0]
+        answers = pd.DataFrame({"object": [o, "no-such-object"], "worker": "w0", "value": ""})
+        with pytest.raises(ValueError, match="'no-such-object'"):
+            make_ctx(tdh_result, answers=answers)
+
+    def test_answered_mask(self, tdh_result):
+        """Answers by workers outside the round are ignored."""
+        o = tdh_result.extras["problem"].objects
+        answers = pd.DataFrame({"object": [o[3], o[3], o[5]], "worker": ["w1", "w2", "other"], "value": ""})
+        ctx = make_ctx(tdh_result, answers=answers)
+        assert sorted(zip(*np.nonzero(ctx.answered))) == [(1, 3), (2, 3)]

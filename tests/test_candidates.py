@@ -303,19 +303,20 @@ class TestExpand:
     def test_worker_rows_equal_the_assigners_basis(self, kernel_problem):
         from repro.assign.common import AssignContext
         from repro.core.tdh_local import TDH
+        from tests.test_assign import cands, likelihood_basis
 
         recs, anc, _ = kernel_problem
         ctx = AssignContext(
             result=TDH(max_iter=2).fit(recs, None, anc),
             workers=["w0"],
             k=1,
-            answered={},
+            answers=None,
             rng=np.random.default_rng(0),
         )
         p = ctx.problem
         for o in p.objects:
-            _, sl = ctx.cands(o)
-            B = ctx.likelihood_basis(o)
+            _, sl = cands(ctx, o)
+            B = likelihood_basis(ctx, o)
             seen = np.zeros(B.shape, dtype=bool)
             for vp in range(sl.start, sl.stop):
                 row, cand, rel, coef = expand(p, np.asarray([vp]), popularity=True)

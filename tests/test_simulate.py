@@ -45,8 +45,11 @@ class TestLoop:
         assert n.is_monotonic_increasing
         assert n.iloc[-1] <= 3 * 3 * 2
 
-    def test_no_duplicate_worker_object_answers(self, ds):
-        log = run_crowdsourcing(ds, "TDH", "EAI", rounds=4, n_workers=3, k=3, seed=1)
+    @pytest.mark.parametrize(
+        "infer,assign", [("TDH", "EAI"), ("TDH", "QASCA"), ("TDH", "ME"), ("DOCS", "MB")]
+    )
+    def test_no_duplicate_worker_object_answers(self, ds, infer, assign):
+        log = run_crowdsourcing(ds, infer, assign, rounds=4, n_workers=3, k=3, seed=1)
         assert not log.answers.duplicated(["object", "worker"]).any()
 
     def test_answers_are_candidates(self, ds):

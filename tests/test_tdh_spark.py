@@ -99,7 +99,7 @@ class TestSparkLocalEquivalence:
                     result=res,
                     workers=[f"w{i}" for i in range(4)],
                     k=5,
-                    answered={},
+                    answers=None,
                     rng=np.random.default_rng(0),
                 )
             )
