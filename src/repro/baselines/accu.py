@@ -22,6 +22,7 @@ import itertools
 import numpy as np
 import pandas as pd
 
+from repro.baselines.claims import ClaimLayout
 from repro.core.result import InferenceResult, argmax_truths
 
 _EPS = 1e-6
@@ -81,57 +82,20 @@ def _accu_core(
     dep_prior: float = 0.1,
     detect_dependence: bool = True,
 ) -> InferenceResult:
-    claims = records[["object", "source", "value"]]
-    workers: list[str] = []
-    if answers is not None and len(answers):
-        extra = answers.rename(columns={"worker": "source"})
-        extra = extra.assign(source="w:" + extra["source"])
-        workers = sorted(answers["worker"].unique())
-        claims = pd.concat([claims, extra[["object", "source", "value"]]], ignore_index=True)
-    claims = claims.reset_index(drop=True)
-    sources = sorted(claims["source"].unique())
-    scode = {s: i for i, s in enumerate(sources)}
+    layout = ClaimLayout(records, answers)
+    claims, sources = layout.claims, layout.sources
     acc = pd.Series(0.8, index=sources)
 
-    # expanded (claim × candidate) arrays for the exact per-candidate
-    # likelihood: P(claim|v true) = A_s if claim=v else (1-A_s)·q where q
-    # is 1/n_o (ACCU) or the popularity of the claim among non-v values
-    # (POPACCU).
-    cand = (
-        claims[["object", "value"]].drop_duplicates().sort_values(["object", "value"]).reset_index(drop=True)
-    )
-    objects = sorted(cand["object"].unique())
-    ocode = {o: i for i, o in enumerate(objects)}
-    cand["cid"] = np.arange(len(cand))
-    cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
-    obj_of_cand = cand["object"].map(ocode).to_numpy()
-    nV = np.bincount(obj_of_cand).astype(float)
-    cnt_ser = claims.groupby(["object", "value"]).size()
-    cnt = np.zeros(len(cand))
-    for (o, v), k in cnt_ser.items():
-        cnt[cid_of[(o, v)]] = k
-    S_o = np.bincount(claims["object"].map(ocode).to_numpy(), minlength=len(objects)).astype(float)
-    cands_by_obj = {int(k): g["cid"].to_numpy() for k, g in cand.groupby(cand["object"].map(ocode))}
-    rows, srcs, cids, eq, claim_cid_col = [], [], [], [], []
-    for i, (o, s, v) in enumerate(zip(claims["object"], claims["source"], claims["value"])):
-        ccid = cid_of[(o, v)]
-        for c in cands_by_obj[ocode[o]]:
-            rows.append(i)
-            srcs.append(scode[s])
-            cids.append(c)
-            eq.append(c == ccid)
-            claim_cid_col.append(ccid)
-    rows_a, srcs_a = np.asarray(rows), np.asarray(srcs)
-    cids_a, eq_a = np.asarray(cids), np.asarray(eq)
-    claim_cid_a = np.asarray(claim_cid_col)
-    claim_cids = np.asarray(
-        [cid_of[(o, v)] for o, v in zip(claims["object"], claims["value"])]
-    )
+    # exact per-candidate likelihood over the claim × candidate grid:
+    # P(claim|v true) = A_s if claim=v else (1-A_s)·q where q is 1/n_o
+    # (ACCU) or the popularity of the claim among non-v values (POPACCU).
+    row, cand, eq = layout.grid
+    p = layout.problem
     if popularity:
         # pop of the claimed value among values ≠ v: cnt(claim)/(S_o - cnt(v))
-        q = cnt[claim_cid_a] / np.clip(S_o[obj_of_cand[cids_a]] - cnt[cids_a], 1.0, None)
+        q = p.cnt[layout.cid[row]] / np.clip(p.S[p.obj_of_cand[cand]] - p.cnt[cand], 1.0, None)
     else:
-        q = 1.0 / np.clip(nV[obj_of_cand[cids_a]] - 1.0, 1.0, None)
+        q = 1.0 / np.clip(p.nV[p.obj_of_cand[cand]] - 1.0, 1.0, None)
 
     mu = None
     truth_map: dict[str, str] = {}
@@ -157,21 +121,14 @@ def _accu_core(
                             w *= 1.0 - copy_prob * dep.get(key, 0.0)
                         indep[idx] = w
                         seen.append(s)
-        a_s = np.clip(acc.to_numpy()[srcs_a], 0.01, 0.99)
-        p = np.where(eq_a, a_s, (1.0 - a_s) * np.clip(q, 1e-12, None))
+        a_s = np.clip(acc.to_numpy()[layout.src[row]], 0.01, 0.99)
+        lik = np.where(eq, a_s, (1.0 - a_s) * np.clip(q, 1e-12, None))
         # dependence discount: copiers' log-votes count fractionally
-        ll_rows = np.log(p) * indep[rows_a]
-        log_lik = np.zeros(len(cand))
-        np.add.at(log_lik, cids_a, ll_rows)
-        mx = np.full(len(objects), -np.inf)
-        np.maximum.at(mx, obj_of_cand, log_lik)
-        post = np.exp(log_lik - mx[obj_of_cand])
-        z = np.bincount(obj_of_cand, post, minlength=len(objects))
-        post /= z[obj_of_cand]
-        mu = pd.DataFrame({"object": cand["object"], "value": cand["value"], "mu": post})
+        post = layout.posterior(np.log(lik) * indep[row])
+        mu = layout.mu(post)
         truths = argmax_truths(mu)
         truth_map = dict(zip(truths["object"], truths["value"]))
-        cp = pd.Series(post[claim_cids], index=claims.index)
+        cp = pd.Series(post[layout.cid], index=claims.index)
         new_acc = (cp.groupby(claims["source"]).sum() + 1.0) / (
             cp.groupby(claims["source"]).size() + 2.0
         )
@@ -180,16 +137,10 @@ def _accu_core(
             acc = new_acc
             break
         acc = new_acc
-    mu = mu.sort_values(["object", "value"]).reset_index(drop=True)
-    wacc = None
-    if workers:
-        wacc = pd.DataFrame(
-            {"worker": workers, "acc": [float(acc.get(f"w:{w}", 0.8)) for w in workers]}
-        )
     return InferenceResult(
         truths=argmax_truths(mu),
         mu=mu,
-        worker_accuracy=wacc,
+        worker_accuracy=layout.worker_accuracy(acc.to_numpy()),
         extras={"accuracy": acc, "dependence": dep},
     )
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.baselines.claims import ClaimLayout
+from repro.core.candidates import Problem, ranges
 from repro.core.result import InferenceResult
 from repro.hierarchy import Hierarchy
 
@@ -32,55 +34,46 @@ def asums(
 ) -> InferenceResult:
     """Hierarchy-aware Sums. ``depth_of`` overrides hierarchy depths
     (used for the numeric implied hierarchy where no tree exists)."""
-    claims = records[["object", "source", "value"]]
-    if answers is not None and len(answers):
-        extra = answers.rename(columns={"worker": "source"})
-        extra = extra.assign(source="w:" + extra["source"])
-        claims = pd.concat([claims, extra[["object", "source", "value"]]], ignore_index=True)
-    claims = claims.reset_index(drop=True)
-    sources = sorted(claims["source"].unique())
-    scode = {s: i for i, s in enumerate(sources)}
-    cand = (
-        claims[["object", "value"]].drop_duplicates().sort_values(["object", "value"]).reset_index(drop=True)
-    )
-    cand["cid"] = np.arange(len(cand))
-    cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
+    if depth_of is None and hierarchy is None:
+        raise ValueError("asums needs either hierarchy or depth_of")
+    layout = ClaimLayout(records, answers, anc_pairs)
+    p = layout.problem
+    n_cand, n_sources = len(p.cand), len(layout.sources)
 
-    # support edges: claim row -> claimed cid and every candidate ancestor
-    anc_by_desc: dict[int, list[int]] = {}
-    for o, v, a in anc_pairs[["object", "value", "anc"]].itertuples(index=False):
-        anc_by_desc.setdefault(cid_of[(o, v)], []).append(cid_of[(o, a)])
-    sup_src, sup_cid, claim_cids = [], [], []
-    for o, s, v in claims[["object", "source", "value"]].itertuples(index=False):
-        c = cid_of[(o, v)]
-        claim_cids.append(c)
-        for target in [c, *anc_by_desc.get(c, [])]:
-            sup_src.append(scode[s])
-            sup_cid.append(target)
-    sup_src_a, sup_cid_a = np.asarray(sup_src), np.asarray(sup_cid)
-    claim_cids_a = np.asarray(claim_cids)
-    claim_src_a = claims["source"].map(scode).to_numpy()
+    # support edges: a claim supports its claimed cid, then every candidate
+    # ancestor of it in ascending cid order (``p.anc`` is sorted)
+    n_sup = 1 + p.nG.astype(np.int64)
+    own = np.arange(n_cand)
+    targets = np.concatenate([own, p.anc[:, 1]])
+    targets = targets[np.argsort(np.concatenate([own, p.anc[:, 0]]), kind="stable")]
+    claim, at = ranges((np.cumsum(n_sup) - n_sup)[layout.cid], n_sup[layout.cid])
+    sup_src, sup_cid = layout.src[claim], targets[at]
 
-    trust = np.ones(len(sources))
-    belief = np.ones(len(cand))
+    trust = np.ones(n_sources)
+    belief = np.ones(n_cand)
     for _ in range(max_iter):
-        belief = np.bincount(sup_cid_a, trust[sup_src_a], minlength=len(cand))
+        belief = np.bincount(sup_cid, trust[sup_src], minlength=n_cand)
         belief /= max(belief.max(), 1e-12)
-        trust = np.bincount(claim_src_a, belief[claim_cids_a], minlength=len(sources))
+        trust = np.bincount(layout.src, belief[layout.cid], minlength=n_sources)
         trust /= max(trust.max(), 1e-12)
-    mu = pd.DataFrame({"object": cand["object"], "value": cand["value"], "mu": belief})
+    mu = layout.mu(belief)
     mu["mu"] /= mu.groupby("object")["mu"].transform("sum")
     if depth_of is None:
-        if hierarchy is None:
-            raise ValueError("asums needs either hierarchy or depth_of")
-        depth_of = {v: (hierarchy.depth(v) if v in hierarchy else 0) for v in cand["value"]}
-    rows = []
-    for o, grp in mu.groupby("object", sort=True):
-        mx = grp["mu"].max()
-        ok = grp[grp["mu"] >= threshold * mx].copy()
-        ok["depth"] = ok["value"].map(depth_of)
-        ok = ok.sort_values(["depth", "mu", "value"], ascending=[False, False, True])
-        rows.append((o, ok.iloc[0]["value"]))
-    truths = pd.DataFrame(rows, columns=["object", "value"])
-    mu = mu.sort_values(["object", "value"]).reset_index(drop=True)
-    return InferenceResult(truths=truths, mu=mu)
+        depth_of = {v: (hierarchy.depth(v) if v in hierarchy else 0) for v in p.cand["value"]}
+    return InferenceResult(truths=select_truths(p, mu["mu"].to_numpy(), depth_of, threshold), mu=mu)
+
+
+def select_truths(
+    problem: Problem, mu: np.ndarray, depth_of: dict[str, int], threshold: float
+) -> pd.DataFrame:
+    """Per object, the deepest candidate with ``mu ≥ threshold · max mu``
+    (ties: larger ``mu``, then smaller value); ``mu`` is in cid order."""
+    p = problem
+    obj = p.obj_of_cand
+    ok = np.flatnonzero(mu >= threshold * np.maximum.reduceat(mu, p.start)[obj])
+    depth = p.cand["value"].map(depth_of).to_numpy(dtype=float)
+    order = ok[np.lexsort((p.index.codes[1][ok], -mu[ok], -depth[ok], obj[ok]))]
+    first = order[np.r_[True, obj[order][1:] != obj[order][:-1]]]
+    return pd.DataFrame(
+        {"object": p.cand["object"].to_numpy()[first], "value": p.cand["value"].to_numpy()[first]}
+    )

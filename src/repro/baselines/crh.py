@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.baselines.claims import fold_answers
 from repro.core.result import InferenceResult, argmax_truths
 
 _EPS = 1e-9
@@ -23,18 +24,14 @@ def crh(
     max_iter: int = 20,
 ) -> InferenceResult:
     """Categorical CRH; worker answers are folded in as extra sources."""
-    claims = records[["object", "source", "value"]]
-    if answers is not None and len(answers):
-        extra = answers.rename(columns={"worker": "source"})
-        extra = extra.assign(source="w:" + extra["source"])
-        claims = pd.concat([claims, extra[["object", "source", "value"]]], ignore_index=True)
+    claims = fold_answers(records, answers)
     sources = sorted(claims["source"].unique())
     w = pd.Series(1.0, index=sources)
     truth = None
     for _ in range(max_iter):
         scored = claims.assign(wt=claims["source"].map(w))
         scores = scored.groupby(["object", "value"])["wt"].sum().rename("mu").reset_index()
-        new_truth = argmax_truths(scores.rename(columns={"mu": "mu"}).assign(mu=scores["mu"]))
+        new_truth = argmax_truths(scores)
         t_map = dict(zip(new_truth["object"], new_truth["value"]))
         loss = claims.assign(miss=[t_map[o] != v for o, v in zip(claims["object"], claims["value"])])
         loss_s = loss.groupby("source")["miss"].sum().reindex(sources).fillna(0.0) + _EPS

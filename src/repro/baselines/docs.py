@@ -4,8 +4,9 @@ The original system links questions to knowledge-base domains and
 models a per-(agent, domain) reliability. Here the natural domain of an
 object is the *top-level branch* of the value hierarchy its claims fall
 under (e.g. the continent), determined by the plurality claim. Inference
-is EM over per-domain one-coin reliabilities; its task-assignment
-counterpart (MB, expected entropy reduction) lives in
+is the one-coin EM of :func:`repro.baselines.claims.one_coin` with one
+agent per (source, domain); MDC is the same EM with a single domain. Its
+task-assignment counterpart (MB, expected entropy reduction) lives in
 :mod:`repro.assign.mb`.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.baselines.claims import ClaimLayout, one_coin
 from repro.core.result import InferenceResult, argmax_truths
 from repro.hierarchy import Hierarchy
 
@@ -35,6 +37,18 @@ def object_domains(records: pd.DataFrame, hierarchy: Hierarchy) -> dict[str, str
     return {o: top(v) for o, v in zip(plural["object"], plural["value"])}
 
 
+def domain_agents(layout: ClaimLayout, domains: dict[str, str]):
+    """One agent per (source, domain) pair, numbered in sorted order.
+
+    Returns each agent's source code and domain name, and each claim's
+    agent code.
+    """
+    dom, dom_names = pd.factorize(layout.claims["object"].map(domains), sort=True)
+    pairs, agent = np.unique(layout.src * len(dom_names) + dom, return_inverse=True)
+    src_of, dom_of = np.divmod(pairs, len(dom_names))
+    return src_of, list(dom_names.take(dom_of)), agent
+
+
 def docs(
     records: pd.DataFrame,
     answers: pd.DataFrame | None = None,
@@ -46,80 +60,19 @@ def docs(
 ) -> InferenceResult:
     """Domain-aware one-coin EM over sources and workers."""
     domains = object_domains(records, hierarchy)
-    claims = records[["object", "source", "value"]]
-    workers: list[str] = []
-    if answers is not None and len(answers):
-        extra = answers.rename(columns={"worker": "source"})
-        extra = extra.assign(source="w:" + extra["source"])
-        workers = sorted(answers["worker"].unique())
-        claims = pd.concat([claims, extra[["object", "source", "value"]]], ignore_index=True)
-    claims = claims.reset_index(drop=True)
-    # agent-domain pairs get their own reliability parameter
-    claims = claims.assign(dom=claims["object"].map(domains))
-    agents = sorted(set(zip(claims["source"], claims["dom"])))
-    acode = {a: i for i, a in enumerate(agents)}
-    cand = (
-        claims[["object", "value"]].drop_duplicates().sort_values(["object", "value"]).reset_index(drop=True)
-    )
-    objects = sorted(cand["object"].unique())
-    ocode = {o: i for i, o in enumerate(objects)}
-    cand["cid"] = np.arange(len(cand))
-    cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
-    obj_of_cand = cand["object"].map(ocode).to_numpy()
-    nV = np.bincount(obj_of_cand).astype(float)
-    cands_by_obj = {int(k): g["cid"].to_numpy() for k, g in cand.groupby(cand["object"].map(ocode))}
-
-    rows, ags, cids, eq = [], [], [], []
-    for i, (o, s, d, v) in enumerate(
-        zip(claims["object"], claims["source"], claims["dom"], claims["value"])
-    ):
-        claim_cid = cid_of[(o, v)]
-        for c in cands_by_obj[ocode[o]]:
-            rows.append(i)
-            ags.append(acode[(s, d)])
-            cids.append(c)
-            eq.append(c == claim_cid)
-    ags_a, cids_a, eq_a = np.asarray(ags), np.asarray(cids), np.asarray(eq)
-    wrong_frac = 1.0 / np.clip(nV[obj_of_cand[cids_a]] - 1.0, 1.0, None)
-    agent_keys = [acode[(s, d)] for s, d in zip(claims["source"], claims["dom"])]
-    nO_a = np.bincount(np.asarray(agent_keys), minlength=len(agents)).astype(float)
-
-    q = np.full(len(agents), 0.7)
-    a0, b0 = prior
-    for _ in range(max_iter):
-        p = np.where(eq_a, q[ags_a], (1 - q[ags_a]) * wrong_frac)
-        log_lik = np.zeros(len(cand))
-        np.add.at(log_lik, cids_a, np.log(np.clip(p, 1e-300, None)))
-        mx = np.full(len(objects), -np.inf)
-        np.maximum.at(mx, obj_of_cand, log_lik)
-        post = np.exp(log_lik - mx[obj_of_cand])
-        z = np.bincount(obj_of_cand, post, minlength=len(objects))
-        post /= z[obj_of_cand]
-        correct = np.bincount(ags_a[eq_a], post[cids_a[eq_a]], minlength=len(agents))
-        new_q = np.clip((correct + a0 - 1) / (nO_a + a0 + b0 - 2), 0.01, 0.99)
-        if float(np.max(np.abs(new_q - q))) < tol:
-            q = new_q
-            break
-        q = new_q
-    p = np.where(eq_a, q[ags_a], (1 - q[ags_a]) * wrong_frac)
-    log_lik = np.zeros(len(cand))
-    np.add.at(log_lik, cids_a, np.log(np.clip(p, 1e-300, None)))
-    mx = np.full(len(objects), -np.inf)
-    np.maximum.at(mx, obj_of_cand, log_lik)
-    post = np.exp(log_lik - mx[obj_of_cand])
-    z = np.bincount(obj_of_cand, post, minlength=len(objects))
-    post /= z[obj_of_cand]
-    mu = pd.DataFrame({"object": cand["object"], "value": cand["value"], "mu": post})
-    wacc = None
+    layout = ClaimLayout(records, answers)
+    src_of, dom_of, agent = domain_agents(layout, domains)
+    post, q = one_coin(layout, agent, len(src_of), max_iter=max_iter, tol=tol, prior=prior)
+    mu = layout.mu(post)
     dom_q: dict[tuple[str, str], float] = {
-        (s, d): float(q[i]) for (s, d), i in acode.items()
+        (layout.sources[s], d): float(x) for s, d, x in zip(src_of, dom_of, q)
     }
-    if workers:
-        per_w = {}
-        for w in workers:
-            vals = [v for (s, d), v in dom_q.items() if s == f"w:{w}"]
-            per_w[w] = float(np.mean(vals)) if vals else 0.7
-        wacc = pd.DataFrame({"worker": workers, "acc": [per_w[w] for w in workers]})
+    wacc = None
+    if layout.workers:
+        at = np.searchsorted(layout.sources, [f"w:{w}" for w in layout.workers])
+        # a worker's accuracy is the mean over the domains it answered in
+        acc = [float(np.mean(q[src_of == s])) for s in at]
+        wacc = pd.DataFrame({"worker": layout.workers, "acc": acc})
     return InferenceResult(
         truths=argmax_truths(mu),
         mu=mu,

@@ -4,13 +4,15 @@ We implement *GuessLCA* (the variant the paper selects): each source has
 an honesty parameter ``h_s``; an honest assertion states the truth, a
 dishonest one guesses according to a guess distribution ``g_o`` (uniform
 over the candidates), so ``P(claim | truth v) = h_s·1[claim=v] +
-(1-h_s)·g_o(claim)``. EM over the per-object truth posterior.
+(1-h_s)·g_o(claim)``. EM over the per-object truth posterior
+(:meth:`repro.baselines.claims.ClaimLayout.posterior`, uniform prior).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
+from repro.baselines.claims import ClaimLayout
 from repro.core.result import InferenceResult, argmax_truths
 
 
@@ -23,80 +25,36 @@ def lca(
     prior: tuple[float, float] = (4.0, 2.0),
 ) -> InferenceResult:
     """GuessLCA; worker answers are folded in as extra sources."""
-    claims = records[["object", "source", "value"]]
-    workers: list[str] = []
-    if answers is not None and len(answers):
-        extra = answers.rename(columns={"worker": "source"})
-        extra = extra.assign(source="w:" + extra["source"])
-        workers = sorted(answers["worker"].unique())
-        claims = pd.concat([claims, extra[["object", "source", "value"]]], ignore_index=True)
-    claims = claims.reset_index(drop=True)
-    sources = sorted(claims["source"].unique())
-    scode = {s: i for i, s in enumerate(sources)}
-    cand = (
-        claims[["object", "value"]].drop_duplicates().sort_values(["object", "value"]).reset_index(drop=True)
-    )
-    objects = sorted(cand["object"].unique())
-    ocode = {o: i for i, o in enumerate(objects)}
-    cand["cid"] = np.arange(len(cand))
-    cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
-    obj_of_cand = cand["object"].map(ocode).to_numpy()
-    nV = np.bincount(obj_of_cand).astype(float)
+    layout = ClaimLayout(records, answers)
+    row, cand, eq = layout.grid
+    p = layout.problem
+    src = layout.src[row]
+    guess = 1.0 / p.nV[p.obj_of_cand[cand]]  # g_o(claim), uniform
+    n_sources = len(layout.sources)
+    nO_s = np.bincount(layout.src, minlength=n_sources).astype(float)
 
-    # expanded (claim × candidate) arrays
-    cands_by_obj = {int(k): g["cid"].to_numpy() for k, g in cand.groupby(cand["object"].map(ocode))}
-    rows, srcs, cids, eq = [], [], [], []
-    for i, (o, s, v) in enumerate(zip(claims["object"], claims["source"], claims["value"])):
-        claim_cid = cid_of[(o, v)]
-        for c in cands_by_obj[ocode[o]]:
-            rows.append(i)
-            srcs.append(scode[s])
-            cids.append(c)
-            eq.append(c == claim_cid)
-    rows_a, srcs_a = np.asarray(rows), np.asarray(srcs)
-    cids_a, eq_a = np.asarray(cids), np.asarray(eq)
-    guess = 1.0 / nV[obj_of_cand[cids_a]]  # g_o(claim), uniform
-    n_claims = len(claims)
-    nO_s = np.bincount(claims["source"].map(scode).to_numpy(), minlength=len(sources)).astype(float)
+    def lik(h: np.ndarray) -> np.ndarray:
+        return np.where(eq, h[src] + (1 - h[src]) * guess, (1 - h[src]) * guess)
 
-    h = np.full(len(sources), 0.8)
-    log_mu = np.log(np.full(len(cand), 1.0) / nV[obj_of_cand])
+    h = np.full(n_sources, 0.8)
     a0, b0 = prior
     for _ in range(max_iter):
-        p = np.where(eq_a, h[srcs_a] + (1 - h[srcs_a]) * guess, (1 - h[srcs_a]) * guess)
-        # E: truth posterior per object
-        log_lik = np.zeros(len(cand))
-        np.add.at(log_lik, cids_a, np.log(np.clip(p, 1e-300, None)))
-        logpost = log_lik + log_mu * 0  # uniform prior over candidates
-        mx = np.full(len(objects), -np.inf)
-        np.maximum.at(mx, obj_of_cand, logpost)
-        post = np.exp(logpost - mx[obj_of_cand])
-        z = np.bincount(obj_of_cand, post, minlength=len(objects))
-        post /= z[obj_of_cand]
+        pr = lik(h)
+        post = layout.posterior(np.log(np.clip(pr, 1e-300, None)))
         # responsibility that a claim was honest: h·1[eq] / p, times truth posterior
-        resp_row = np.where(eq_a, h[srcs_a] / np.clip(p, 1e-300, None), 0.0) * post[cids_a]
-        honest = np.bincount(srcs_a, resp_row, minlength=len(sources))
+        resp_row = np.where(eq, h[src] / np.clip(pr, 1e-300, None), 0.0) * post[cand]
+        honest = np.bincount(src, resp_row, minlength=n_sources)
         new_h = (honest + a0 - 1) / (nO_s + a0 + b0 - 2)
         new_h = np.clip(new_h, 0.01, 0.99)
-        if float(np.max(np.abs(new_h - h))) < tol:
-            h = new_h
-            break
+        done = float(np.max(np.abs(new_h - h))) < tol
         h = new_h
-    p = np.where(eq_a, h[srcs_a] + (1 - h[srcs_a]) * guess, (1 - h[srcs_a]) * guess)
-    log_lik = np.zeros(len(cand))
-    np.add.at(log_lik, cids_a, np.log(np.clip(p, 1e-300, None)))
-    mx = np.full(len(objects), -np.inf)
-    np.maximum.at(mx, obj_of_cand, log_lik)
-    post = np.exp(log_lik - mx[obj_of_cand])
-    z = np.bincount(obj_of_cand, post, minlength=len(objects))
-    post /= z[obj_of_cand]
-    mu = pd.DataFrame({"object": cand["object"], "value": cand["value"], "mu": post})
-    wacc = None
-    if workers:
-        wacc = pd.DataFrame(
-            {"worker": workers, "acc": [float(h[scode[f"w:{w}"]]) for w in workers]}
-        )
-    honesty = pd.DataFrame({"source": sources, "honesty": h})
+        if done:
+            break
+    mu = layout.mu(layout.posterior(np.log(np.clip(lik(h), 1e-300, None))))
+    honesty = pd.DataFrame({"source": layout.sources, "honesty": h})
     return InferenceResult(
-        truths=argmax_truths(mu), mu=mu, worker_accuracy=wacc, extras={"honesty": honesty}
+        truths=argmax_truths(mu),
+        mu=mu,
+        worker_accuracy=layout.worker_accuracy(h),
+        extras={"honesty": honesty},
     )

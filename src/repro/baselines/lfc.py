@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.baselines.claims import ClaimLayout
 from repro.core.result import InferenceResult, argmax_truths
 
 
@@ -27,36 +28,12 @@ def _fit(
     tol: float,
     smooth: float,
 ):
-    claims = records[["object", "source", "value"]]
-    workers: list[str] = []
-    if answers is not None and len(answers):
-        extra = answers.rename(columns={"worker": "source"})
-        extra = extra.assign(source="w:" + extra["source"])
-        workers = sorted(answers["worker"].unique())
-        claims = pd.concat([claims, extra[["object", "source", "value"]]], ignore_index=True)
-    claims = claims.reset_index(drop=True)
-    sources = sorted(claims["source"].unique())
-    scode = {s: i for i, s in enumerate(sources)}
-    cand = (
-        claims[["object", "value"]].drop_duplicates().sort_values(["object", "value"]).reset_index(drop=True)
-    )
-    objects = sorted(cand["object"].unique())
-    ocode = {o: i for i, o in enumerate(objects)}
-    pos_of: dict[tuple[str, str], int] = {}
-    cands_by_obj: dict[int, list[str]] = {}
-    for o, grp in cand.groupby("object", sort=True):
-        vals = list(grp["value"])
-        cands_by_obj[ocode[o]] = vals
-        for j, v in enumerate(vals):
-            pos_of[(o, v)] = j
-    K = max(len(v) for v in cands_by_obj.values())
-    S = len(sources)
-    nO = len(objects)
-    nK = np.asarray([len(cands_by_obj[i]) for i in range(nO)])
-
-    c_obj = claims["object"].map(ocode).to_numpy()
-    c_src = claims["source"].map(scode).to_numpy()
-    c_pos = np.asarray([pos_of[(o, v)] for o, v in zip(claims["object"], claims["value"])])
+    layout = ClaimLayout(records, answers)
+    p = layout.problem
+    nK = p.nV.astype(np.int64)
+    K, S = int(nK.max()), len(layout.sources)
+    c_obj, c_src = p.obj_of_cand[layout.cid], layout.src
+    c_pos = layout.cid - p.start[c_obj]
 
     pi = np.full((S, K, K), 0.3 / max(1, K - 1))
     for j in range(K):
@@ -80,19 +57,9 @@ def _fit(
             mu = new_mu
             break
         mu = new_mu
-    rows = []
-    for i in range(nO):
-        o = objects[i]
-        for j, v in enumerate(cands_by_obj[i]):
-            rows.append((o, v, float(mu[i, j])))
-    mu_df = pd.DataFrame(rows, columns=["object", "value", "mu"])
-    wacc = None
-    if workers:
-        diag = pi[np.arange(S)][:, np.arange(K), np.arange(K)].mean(axis=1)
-        wacc = pd.DataFrame(
-            {"worker": workers, "acc": [float(diag[scode[f"w:{w}"]]) for w in workers]}
-        )
-    return mu_df, wacc
+    mu_df = layout.mu(mu[p.obj_of_cand, np.arange(len(p.cand)) - p.start[p.obj_of_cand]])
+    diag = pi[:, np.arange(K), np.arange(K)].mean(axis=1)
+    return mu_df, layout.worker_accuracy(diag)
 
 
 def lfc(

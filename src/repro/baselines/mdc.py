@@ -5,12 +5,14 @@ reliability per agent with uniform confusion over the remaining
 candidates — and drop the medical-phrase clustering front-end, which has
 no counterpart in these workloads. This is the classic one-coin
 Dawid–Skene EM and lands mid-pack, as MDC does in the paper's Table 3.
+It is DOCS's EM (:func:`repro.baselines.claims.one_coin`) with a single
+domain: one agent per source.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
+from repro.baselines.claims import ClaimLayout, one_coin
 from repro.core.result import InferenceResult, argmax_truths
 
 
@@ -23,69 +25,11 @@ def mdc(
     prior: tuple[float, float] = (4.0, 2.0),
 ) -> InferenceResult:
     """One-coin EM; worker answers fold in as extra agents."""
-    claims = records[["object", "source", "value"]]
-    workers: list[str] = []
-    if answers is not None and len(answers):
-        extra = answers.rename(columns={"worker": "source"})
-        extra = extra.assign(source="w:" + extra["source"])
-        workers = sorted(answers["worker"].unique())
-        claims = pd.concat([claims, extra[["object", "source", "value"]]], ignore_index=True)
-    claims = claims.reset_index(drop=True)
-    sources = sorted(claims["source"].unique())
-    scode = {s: i for i, s in enumerate(sources)}
-    cand = (
-        claims[["object", "value"]].drop_duplicates().sort_values(["object", "value"]).reset_index(drop=True)
+    layout = ClaimLayout(records, answers)
+    post, r = one_coin(
+        layout, layout.src, len(layout.sources), max_iter=max_iter, tol=tol, prior=prior
     )
-    objects = sorted(cand["object"].unique())
-    ocode = {o: i for i, o in enumerate(objects)}
-    cand["cid"] = np.arange(len(cand))
-    cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
-    obj_of_cand = cand["object"].map(ocode).to_numpy()
-    nV = np.bincount(obj_of_cand).astype(float)
-
-    cands_by_obj = {int(k): g["cid"].to_numpy() for k, g in cand.groupby(cand["object"].map(ocode))}
-    rows, srcs, cids, eq = [], [], [], []
-    for i, (o, s, v) in enumerate(zip(claims["object"], claims["source"], claims["value"])):
-        claim_cid = cid_of[(o, v)]
-        for c in cands_by_obj[ocode[o]]:
-            rows.append(i)
-            srcs.append(scode[s])
-            cids.append(c)
-            eq.append(c == claim_cid)
-    srcs_a, cids_a, eq_a = np.asarray(srcs), np.asarray(cids), np.asarray(eq)
-    wrong_frac = 1.0 / np.clip(nV[obj_of_cand[cids_a]] - 1.0, 1.0, None)
-    nO_s = np.bincount(claims["source"].map(scode).to_numpy(), minlength=len(sources)).astype(float)
-
-    r = np.full(len(sources), 0.7)
-    a0, b0 = prior
-    post = None
-    for _ in range(max_iter):
-        p = np.where(eq_a, r[srcs_a], (1 - r[srcs_a]) * wrong_frac)
-        log_lik = np.zeros(len(cand))
-        np.add.at(log_lik, cids_a, np.log(np.clip(p, 1e-300, None)))
-        mx = np.full(len(objects), -np.inf)
-        np.maximum.at(mx, obj_of_cand, log_lik)
-        post = np.exp(log_lik - mx[obj_of_cand])
-        z = np.bincount(obj_of_cand, post, minlength=len(objects))
-        post /= z[obj_of_cand]
-        correct = np.bincount(srcs_a[eq_a], post[cids_a[eq_a]], minlength=len(sources))
-        new_r = np.clip((correct + a0 - 1) / (nO_s + a0 + b0 - 2), 0.01, 0.99)
-        if float(np.max(np.abs(new_r - r))) < tol:
-            r = new_r
-            break
-        r = new_r
-    p = np.where(eq_a, r[srcs_a], (1 - r[srcs_a]) * wrong_frac)
-    log_lik = np.zeros(len(cand))
-    np.add.at(log_lik, cids_a, np.log(np.clip(p, 1e-300, None)))
-    mx = np.full(len(objects), -np.inf)
-    np.maximum.at(mx, obj_of_cand, log_lik)
-    post = np.exp(log_lik - mx[obj_of_cand])
-    z = np.bincount(obj_of_cand, post, minlength=len(objects))
-    post /= z[obj_of_cand]
-    mu = pd.DataFrame({"object": cand["object"], "value": cand["value"], "mu": post})
-    wacc = None
-    if workers:
-        wacc = pd.DataFrame(
-            {"worker": workers, "acc": [float(r[scode[f"w:{w}"]]) for w in workers]}
-        )
-    return InferenceResult(truths=argmax_truths(mu), mu=mu, worker_accuracy=wacc)
+    mu = layout.mu(post)
+    return InferenceResult(
+        truths=argmax_truths(mu), mu=mu, worker_accuracy=layout.worker_accuracy(r)
+    )

@@ -14,21 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.baselines.claims import ClaimLayout
 from repro.hierarchy import Hierarchy
-
-
-def _candidate_obs(records: pd.DataFrame):
-    """Observation matrix pieces: for each (object, source) the claimed
-    candidate, and the per-object candidate lists."""
-    cand = (
-        records[["object", "value"]].drop_duplicates().sort_values(["object", "value"]).reset_index(drop=True)
-    )
-    cand["cid"] = np.arange(len(cand))
-    cid_of = {(o, v): c for o, v, c in zip(cand["object"], cand["value"], cand["cid"])}
-    cands_by_obj: dict[str, np.ndarray] = {
-        o: g["cid"].to_numpy() for o, g in cand.groupby("object", sort=True)
-    }
-    return cand, cid_of, cands_by_obj
 
 
 def ltm(
@@ -43,21 +30,15 @@ def ltm(
 ) -> dict[str, set[str]]:
     """Latent Truth Model via collapsed Gibbs; returns multi-truth sets."""
     rng = np.random.default_rng(seed)
-    cand, cid_of, cands_by_obj = _candidate_obs(records)
-    sources = sorted(records["source"].unique())
-    scode = {s: i for i, s in enumerate(sources)}
-    S = len(sources)
-    C = len(cand)
-    # observation lists: per cid, the (source, obs) pairs for sources covering o
-    obs_src: list[list[int]] = [[] for _ in range(C)]
-    obs_val: list[list[int]] = [[] for _ in range(C)]
-    for o, grp in records.groupby("object", sort=True):
-        cids = cands_by_obj[o]
-        for s, v in zip(grp["source"], grp["value"]):
-            claimed = cid_of[(o, v)]
-            for c in cids:
-                obs_src[c].append(scode[s])
-                obs_val[c].append(1 if c == claimed else 0)
+    layout = ClaimLayout(records, None)
+    S, C = len(layout.sources), len(layout.problem.cand)
+    # observation lists: per cid, the (source, obs) pairs of the claims on
+    # its object, in claim order
+    row, cid, eq = layout.grid
+    order = np.argsort(cid, kind="stable")
+    cut = np.cumsum(np.bincount(cid, minlength=C))[:-1]
+    obs_src = [x.tolist() for x in np.split(layout.src[row][order], cut)]
+    obs_val = [x.tolist() for x in np.split(eq[order].astype(int), cut)]
     t = rng.random(C) < 0.5
     # counts n[s, t, obs]
     n = np.zeros((S, 2, 2))
@@ -91,13 +72,14 @@ def ltm(
             totals += t
             kept += 1
     post = totals / max(kept, 1)
+    cand = layout.problem.cand
     out: dict[str, set[str]] = {}
-    for o, v, c in zip(cand["object"], cand["value"], cand["cid"]):
-        if post[c] >= 0.5:
+    for o, v, pc in zip(cand["object"], cand["value"], post):
+        if pc >= 0.5:
             out.setdefault(o, set()).add(v)
     # guarantee non-empty output per object (most probable value)
     best = (
-        pd.DataFrame({"object": cand["object"], "value": cand["value"], "p": post[cand["cid"]]})
+        cand.assign(p=post)
         .sort_values(["object", "p", "value"], ascending=[True, False, True])
         .groupby("object")
         .head(1)
@@ -119,65 +101,53 @@ def dart(
     A permissive threshold keeps recall high (the behaviour Table 5
     reports); precision suffers accordingly.
     """
-    from repro.baselines.docs import object_domains
+    from repro.baselines.docs import domain_agents, object_domains
 
-    domains = object_domains(records, hierarchy)
-    claims = records.assign(dom=records["object"].map(domains))
-    cand, cid_of, cands_by_obj = _candidate_obs(records)
-    agents = sorted(set(zip(claims["source"], claims["dom"])))
-    acode = {a: i for i, a in enumerate(agents)}
-    A = len(agents)
+    layout = ClaimLayout(records, None)
+    p = layout.problem
+    src_of, _, agent = domain_agents(layout, object_domains(records, hierarchy))
+    A = len(src_of)
+    # the claims of each object, in claim order
+    obj = p.obj_of_cand[layout.cid]
+    by_obj = np.split(np.argsort(obj, kind="stable"), np.cumsum(np.bincount(obj))[:-1])
+    cand = p.cand
+    n_claims = np.bincount(agent, minlength=A).astype(float)
     rho = np.full(A, 0.6)  # recall on true values
     spec = np.full(A, 0.8)  # specificity on false values
     truth_sets: dict[str, set[str]] = {}
     for _ in range(max_iter):
-        scores: dict[int, float] = {}
-        for o, grp in claims.groupby("object", sort=True):
-            cids = cands_by_obj[o]
-            claimed_by: dict[int, list[int]] = {int(c): [] for c in cids}
-            covering = []
-            for s, d, v in zip(grp["source"], grp["dom"], grp["value"]):
-                ai = acode[(s, d)]
-                covering.append(ai)
-                claimed_by[cid_of[(o, v)]].append(ai)
-            for c in cids:
+        scores = np.zeros(len(cand))
+        for i, claims in enumerate(by_obj):
+            covering = agent[claims].tolist()
+            cids = range(p.start[i], p.start[i] + int(p.nV[i]))
+            claimed_by: dict[int, list[int]] = {c: [] for c in cids}
+            for ai, c in zip(covering, layout.cid[claims].tolist()):
+                claimed_by[c].append(ai)
+            for c, claimed in claimed_by.items():
                 sc = 0.0
-                for ai in claimed_by[int(c)]:
+                for ai in claimed:
                     sc += np.log(rho[ai] / max(1e-6, 1 - spec[ai]))
                 for ai in covering:
-                    if ai not in claimed_by[int(c)]:
+                    if ai not in claimed:
                         # a source claims only one value even when several
                         # are true (the multi-truth setting), so a missing
                         # claim is weak negative evidence — damp it
                         sc += 0.1 * np.log(max(1e-6, 1 - rho[ai]) / spec[ai])
-                scores[int(c)] = 1.0 / (1.0 + np.exp(-sc))
+                scores[c] = 1.0 / (1.0 + np.exp(-sc))
         truth_sets = {}
-        for o, v, c in zip(cand["object"], cand["value"], cand["cid"]):
-            if scores[int(c)] >= threshold:
+        for o, v, sc in zip(cand["object"], cand["value"], scores):
+            if sc >= threshold:
                 truth_sets.setdefault(o, set()).add(v)
-        for o in cands_by_obj:
+        for i, o in enumerate(p.objects):
             if o not in truth_sets:
-                cids = cands_by_obj[o]
-                best = max(cids, key=lambda c: scores[int(c)])
-                row = cand[cand["cid"] == best].iloc[0]
-                truth_sets[o] = {row["value"]}
+                first = p.start[i]
+                best = first + int(np.argmax(scores[first : first + int(p.nV[i])]))
+                truth_sets[o] = {cand["value"].iloc[best]}
         # M-step: recall/specificity from current truth sets
-        num_r = np.zeros(A)
-        den_r = np.zeros(A)
-        num_s = np.zeros(A)
-        den_s = np.zeros(A)
-        for o, grp in claims.groupby("object", sort=True):
-            ts = truth_sets.get(o, set())
-            for s, d, v in zip(grp["source"], grp["dom"], grp["value"]):
-                ai = acode[(s, d)]
-                den_r[ai] += 1
-                if v in ts:
-                    num_r[ai] += 1
-                else:
-                    num_s[ai] += 0  # claimed a false value
-                den_s[ai] += 1
-        new_rho = np.clip((num_r + 2.0) / (den_r + 4.0), 0.05, 0.95)
-        new_spec = np.clip(1 - (den_r - num_r + 1.0) / (den_s + 4.0), 0.05, 0.95)
+        hit = [v in truth_sets[o] for o, v in zip(records["object"], records["value"])]
+        num_r = np.bincount(agent, np.asarray(hit, dtype=float), minlength=A)
+        new_rho = np.clip((num_r + 2.0) / (n_claims + 4.0), 0.05, 0.95)
+        new_spec = np.clip(1 - (n_claims - num_r + 1.0) / (n_claims + 4.0), 0.05, 0.95)
         if np.allclose(new_rho, rho, atol=1e-6) and np.allclose(new_spec, spec, atol=1e-6):
             rho, spec = new_rho, new_spec
             break

@@ -13,19 +13,13 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.baselines.claims import fold_answers
 from repro.core.result import InferenceResult, argmax_truths
-
-
-def _all_claims(records: pd.DataFrame, answers: pd.DataFrame | None) -> pd.DataFrame:
-    claims = records[["object", "value"]]
-    if answers is not None and len(answers):
-        claims = pd.concat([claims, answers[["object", "value"]]], ignore_index=True)
-    return claims
 
 
 def vote(records: pd.DataFrame, answers: pd.DataFrame | None = None) -> InferenceResult:
     """Majority vote; confidences are normalized vote shares."""
-    claims = _all_claims(records, answers)
+    claims = fold_answers(records, answers)
     counts = claims.groupby(["object", "value"]).size().rename("n").reset_index()
     counts["mu"] = counts["n"] / counts.groupby("object")["n"].transform("sum")
     mu = counts[["object", "value", "mu"]].sort_values(["object", "value"]).reset_index(

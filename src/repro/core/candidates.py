@@ -15,10 +15,13 @@ codes and validates worker answers against it. Both work on integer
 keys: names are coded once per column by their sorted rank, and every
 later match (ancestor pairs, answers, repeated pairs) is a ``searchsorted``
 or an adjacent-equal test on ``object code · |values| + value code``
-(or ``object code · |agents| + agent code``). :func:`expand` is the one
-implementation of the data-dependent coefficients of Eq. (1)–(4): the
-E-step of both TDH engines and the assigners' answer likelihood use it.
-The tests hold it equal to an independent SQL derivation of its rows.
+(or ``object code · |agents| + agent code``). :func:`claim_grid` is the
+one claim × candidate expansion: :func:`expand` builds on it, and so do
+the categorical baselines (:mod:`repro.baselines.claims`). :func:`expand`
+is the one implementation of the data-dependent coefficients of
+Eq. (1)–(4): the E-step of both TDH engines and the assigners' answer
+likelihood use it. The tests hold it equal to an independent SQL
+derivation of its rows.
 """
 from __future__ import annotations
 
@@ -205,6 +208,22 @@ def _code(claims: pd.DataFrame, agent_col: str, obj: np.ndarray, cid: np.ndarray
     return Claims(cid=cid, agent=agent[order], agents=list(agents))
 
 
+def claim_grid(problem: Problem, claim_cid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The claim × candidate grid: for claim ``i`` (claimed candidate
+    ``claim_cid[i]``), one row ``(row=i, cand=v)`` for every candidate ``v``
+    of its object. Rows come in claim order, then by ascending ``v``."""
+    obj = problem.obj_of_cand[claim_cid]
+    return ranges(problem.start[obj], problem.nV[obj].astype(np.int64))
+
+
+def ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, idx)``: for each ``i`` in order, the indices ``start[i] ..
+    start[i] + count[i] - 1``, each tagged with ``row = i``."""
+    row = np.repeat(np.arange(len(start)), count)
+    idx = np.repeat(start, count) + np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    return row, idx
+
+
 def expand(problem: Problem, claim_cid: np.ndarray, popularity: bool):
     """The data-dependent coefficients of Eq. (1)–(4).
 
@@ -222,11 +241,8 @@ def expand(problem: Problem, claim_cid: np.ndarray, popularity: bool):
     """
     p = problem
     n_cand = len(p.cand)
-    obj = p.obj_of_cand[claim_cid]
-    k = p.nV[obj].astype(np.int64)
-    row = np.repeat(np.arange(len(claim_cid)), k)
-    cand = np.repeat(p.start[obj], k) + np.arange(len(row)) - np.repeat(np.cumsum(k) - k, k)
-    claim, o = claim_cid[row], obj[row]
+    row, cand = claim_grid(p, claim_cid)
+    claim, o = claim_cid[row], p.obj_of_cand[claim_cid][row]
     exact = cand == claim
     general = np.isin(cand * n_cand + claim, p.anc[:, 0] * n_cand + p.anc[:, 1])
     if popularity:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.accu import accu, popaccu
 from repro.baselines.asums import asums
+from repro.baselines.claims import ClaimLayout, fold_answers
 from repro.baselines.crh import crh, crh_numeric
 from repro.baselines.docs import docs, object_domains
 from repro.baselines.lca import lca
@@ -25,7 +26,7 @@ def ds():
 
 @pytest.fixture(scope="module")
 def gold(ds):
-    return M.map_gold_to_candidates(candidate_sets(ds.records), candidate_sets(ds.records), ds.hierarchy) if False else M.map_gold_to_candidates(ds.gold, candidate_sets(ds.records), ds.hierarchy)
+    return M.map_gold_to_candidates(ds.gold, candidate_sets(ds.records), ds.hierarchy)
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +240,127 @@ class TestNumericBaselines:
         recs = pd.DataFrame(rows, columns=["object", "source", "value"])
         est = catd(recs).truth_map()["o0"]
         assert abs(est - 10.0) < 5.0
+
+
+@pytest.fixture(scope="module")
+def answers(ds):
+    """Answers with several on one object, appended out of object order."""
+    cand = candidate_sets(ds.records)
+    multi = cand.groupby("object").size()
+    busy = multi[multi > 2].index[0]
+    values = cand.loc[cand["object"] == busy, "value"].tolist()
+    rows = [(busy, f"w{i}", values[i % len(values)]) for i in range(4)]
+    for i, o in enumerate(sorted(cand["object"].unique(), reverse=True)[:12]):
+        rows.append((o, f"w{i % 3}", cand.loc[cand["object"] == o, "value"].iloc[-1]))
+    return pd.DataFrame(rows, columns=["object", "worker", "value"])
+
+
+def _naive_grid(claims: pd.DataFrame):
+    """The claim × candidate double loop over a ``cid_of`` dict the
+    baselines each carried before they shared :class:`ClaimLayout`."""
+    cand = (
+        claims[["object", "value"]]
+        .drop_duplicates()
+        .sort_values(["object", "value"])
+        .reset_index(drop=True)
+    )
+    cid_of = {(o, v): c for c, (o, v) in enumerate(zip(cand["object"], cand["value"]))}
+    cands_by_obj = {o: g.index.to_numpy() for o, g in cand.groupby("object")}
+    rows, cids, eq = [], [], []
+    for i, (o, v) in enumerate(zip(claims["object"], claims["value"])):
+        for c in cands_by_obj[o]:
+            rows.append(i)
+            cids.append(c)
+            eq.append(c == cid_of[(o, v)])
+    return cand, np.asarray(rows), np.asarray(cids), np.asarray(eq)
+
+
+def _loop_select(mu: pd.DataFrame, depth_of: dict, threshold: float) -> pd.DataFrame:
+    """ASUMS's per-object truth selection as a pandas loop."""
+    rows = []
+    for o, grp in mu.groupby("object", sort=True):
+        ok = grp[grp["mu"] >= threshold * grp["mu"].max()].copy()
+        ok["depth"] = ok["value"].map(depth_of)
+        ok = ok.sort_values(["depth", "mu", "value"], ascending=[False, False, True])
+        rows.append((o, ok.iloc[0]["value"]))
+    return pd.DataFrame(rows, columns=["object", "value"])
+
+
+class TestClaimLayout:
+    def test_fold_appends_answers_as_worker_sources(self, ds, answers):
+        claims = fold_answers(ds.records, answers)
+        n = len(ds.records)
+        cols = ["object", "source", "value"]
+        assert claims.iloc[:n].equals(ds.records[cols].reset_index(drop=True))
+        tail = claims.iloc[n:].reset_index(drop=True)
+        assert tail.equals(answers.assign(source="w:" + answers["worker"])[cols])
+
+    def test_grid_matches_double_loop(self, ds, answers):
+        layout = ClaimLayout(ds.records, answers)
+        cand, rows, cids, eq = _naive_grid(layout.claims)
+        assert layout.problem.cand.equals(cand)
+        row, grid_cand, grid_eq = layout.grid
+        np.testing.assert_array_equal(row, rows)
+        np.testing.assert_array_equal(grid_cand, cids)
+        np.testing.assert_array_equal(grid_eq, eq)
+
+    def test_posterior_matches_groupby_logsumexp(self, ds, answers):
+        layout = ClaimLayout(ds.records, answers)
+        _, cand, _ = layout.grid
+        # dyadic log-likelihoods sum exactly in any order, so the check is
+        # on the grouping and the normalisation, not on summation rounding
+        ll = -np.random.default_rng(0).integers(0, 64, len(cand)) / 8.0
+        post = layout.posterior(ll)
+        log_lik = pd.Series(ll).groupby(cand).sum().to_numpy()
+        by_obj = pd.Series(log_lik).groupby(layout.problem.cand["object"])
+        e = np.exp(log_lik - by_obj.transform("max"))  # log-sum-exp: shift by the max
+        expected = e / e.groupby(layout.problem.cand["object"]).transform("sum")
+        np.testing.assert_allclose(post, expected, rtol=0, atol=1e-15)
+        sums = np.bincount(layout.problem.obj_of_cand, post)
+        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda r, a, ds, anc: lca(r, a),
+            lambda r, a, ds, anc: docs(r, a, hierarchy=ds.hierarchy),
+            lambda r, a, ds, anc: mdc(r, a),
+            lambda r, a, ds, anc: accu(r, a),
+            lambda r, a, ds, anc: asums(r, a, anc_pairs=anc, hierarchy=ds.hierarchy),
+        ],
+        ids=["LCA", "DOCS", "MDC", "ACCU", "ASUMS"],
+    )
+    @pytest.mark.parametrize("where", ["records", "answers"])
+    def test_repeated_pair_rejected(self, ds, anc, answers, fit, where):
+        records, ans = ds.records, answers
+        if where == "records":
+            records = pd.concat([records, records.iloc[:1]], ignore_index=True)
+        else:
+            ans = pd.concat([ans, ans.iloc[:1]], ignore_index=True)
+        with pytest.raises(ValueError, match="at most one claim"):
+            fit(records, ans, ds, anc)
+
+
+class TestASUMSSelection:
+    @pytest.mark.parametrize("threshold", [0.2, 0.4, 0.95])
+    def test_matches_loop(self, ds, anc, answers, threshold):
+        res = asums(ds.records, answers, anc_pairs=anc, hierarchy=ds.hierarchy, threshold=threshold)
+        depth_of = {v: ds.hierarchy.depth(v) for v in res.mu["value"]}
+        assert res.truths.equals(_loop_select(res.mu, depth_of, threshold))
+
+    def test_matches_loop_with_depth_of(self, ds, anc):
+        # few distinct depths, so the belief and value tie-breaks decide
+        depth_of = {v: len(v) % 3 for v in ds.records["value"].unique()}
+        res = asums(ds.records, anc_pairs=anc, depth_of=depth_of)
+        assert res.truths.equals(_loop_select(res.mu, depth_of, 0.4))
+
+    def test_ties_break_to_smallest_value(self):
+        recs = pd.DataFrame(
+            [("o1", "s1", "b"), ("o1", "s2", "a"), ("o2", "s1", "a"), ("o2", "s2", "b")],
+            columns=["object", "source", "value"],
+        )
+        depth_of = {"a": 0, "b": 0}
+        no_anc = pd.DataFrame(columns=["object", "value", "anc"])
+        res = asums(recs, anc_pairs=no_anc, depth_of=depth_of)
+        assert res.truth_map() == {"o1": "a", "o2": "a"}
+        assert res.truths.equals(_loop_select(res.mu, depth_of, 0.4))

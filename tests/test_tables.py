@@ -29,8 +29,12 @@ class TestTable4:
         assert set(PAPER4) == set(combos())
 
     def test_small_run_subset(self):
-        df = table4(sf=0.01, rounds=1, subset=[("TDH", "EAI"), ("VOTE", "ME")])
-        assert len(df) == 4  # 2 combos × 2 datasets
+        subset = [
+            ("TDH", "EAI"), ("VOTE", "ME"), ("DOCS", "MB"), ("MDC", "ME"),
+            ("LCA", "QASCA"), ("ACCU", "ME"), ("ASUMS", "ME"),
+        ]
+        df = table4(sf=0.01, rounds=1, subset=subset)
+        assert len(df) == 14  # 7 combos × 2 datasets
         assert set(df["dataset"]) == {"bp", "her"}
         assert df["paper"].notna().all()
 
