@@ -44,6 +44,7 @@ def main() -> None:
         rng=np.random.default_rng(args.seed),
     )
     assignment = eai_assign(ctx)
+    print(f"[assign] TDH fit: iters={res.extras['n_iter']} converged={res.extras['converged']}")
     print(
         f"[assign] EAI evaluations: {res.extras['_eai_evals']}, "
         f"offers pruned by Lemma 4.1: {res.extras['_eai_pruned']}"

@@ -11,7 +11,8 @@ heap walk (:mod:`repro.assign.eai`).
 Worker answer models:
 
 * with a TDH result, ``A[v', v] = psi_w @ (B1, B2, B3)[v', v]`` over the
-  Eq. (3)/(4) basis of every candidate pair (:attr:`AssignContext.pairs`);
+  Eq. (3)/(4) basis of every candidate pair, cached on the compiled
+  problem (:attr:`repro.core.candidates.Problem.pairs`);
 * QASCA and MB use the symmetric one-coin model of a scalar worker
   accuracy (:func:`onecoin_matrix`).
 
@@ -25,7 +26,6 @@ from functools import cached_property
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import expand
 from repro.core.result import InferenceResult
 
 
@@ -101,22 +101,6 @@ class AssignContext:
             objs = np.flatnonzero(self.nV == K)
             out.append((int(K), objs, self.start[objs, None] + np.arange(K)))
         return out
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """TDH results: ``(vp, v, B)``, every candidate pair (answer v',
-        truth v) of every object as cids, in (object, v', v) order, and the
-        ``(3, P)`` basis with ``A[v', v] = psi @ B``. Eq. (3)/(4) is linear
-        in psi, so this is the worker-side Eq. (1)–(4) kernel run once per
-        round over every pair; an exact match outside O_H (a rel-1 and a
-        rel-2 row) is one pair.
-        """
-        row, cand, rel, coef = expand(self.problem, np.arange(len(self.problem.cand)), popularity=True)
-        new = np.ones(len(row), dtype=bool)
-        new[1:] = (row[1:] != row[:-1]) | (cand[1:] != cand[:-1])
-        B = np.zeros((3, int(new.sum())))
-        B[rel - 1, np.cumsum(new) - 1] = coef
-        return row[new], cand[new], B
 
 
 def onecoin_matrix(K: int, acc) -> np.ndarray:

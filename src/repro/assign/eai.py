@@ -15,9 +15,10 @@ Implements:
   can beat any heap minimum.
 
 :func:`eai_table` evaluates EAI for every (worker, object) in one pass:
-``A = psi @ B`` over the basis of :attr:`AssignContext.pairs`, then Eq.
-(6), (16), (18) and (15) as segment sums and maxima over the pairs of each
-answer and object. Algorithm 1 reads the table: ``_eai_evals`` (Figure 13)
+``A = psi @ B`` over the basis of the compiled problem's candidate pairs
+(:attr:`~repro.core.candidates.Problem.pairs`), then Eq. (6), (16), (18)
+and (15) as segment sums and maxima over the pairs of each answer and
+object. Algorithm 1 reads the table: ``_eai_evals`` (Figure 13)
 counts its reads, ``_eai_pruned`` the offers its Lemma 4.1 test skipped.
 """
 from __future__ import annotations
@@ -37,7 +38,7 @@ def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
     if ctx._eai is not None:
         return ctx._eai
     p = ctx.problem
-    vp, v, B = ctx.pairs
+    vp, v, B = p.pairs
     row_start = np.searchsorted(vp, np.arange(len(p.cand)))  # first pair of each v'
     n_obj = len(p.objects)
     X = ctx.psi @ B  # A[v', v] of every worker, one row per worker

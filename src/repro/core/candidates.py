@@ -11,7 +11,8 @@ relation ``(object, value, anc)`` produced here — either from a
 :func:`compile_problem` integer-codes records and ancestor pairs into a
 :class:`Problem` (candidate ids, ``|V_o|``, ``|G_o(v)|``, ``O_H``, the
 popularity counts of Eq. 3–4) and validates them; :func:`code_answers`
-codes and validates worker answers against it. Both work on integer
+codes and validates worker answers against it, and :func:`cids` looks up
+the cids of (object, value) names in it. All work on integer
 keys: names are coded once per column by their sorted rank, and every
 later match (ancestor pairs, answers, repeated pairs) is a ``searchsorted``
 or an adjacent-equal test on ``object code · |values| + value code``
@@ -21,11 +22,13 @@ the categorical baselines (:mod:`repro.baselines.claims`). :func:`expand`
 is the one implementation of the data-dependent coefficients of
 Eq. (1)–(4): the E-step of both TDH engines and the assigners' answer
 likelihood use it. The tests hold it equal to an independent SQL
-derivation of its rows.
+derivation of its rows. :attr:`Problem.source_rows` and
+:attr:`Problem.pairs` depend only on the problem and are cached on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -107,6 +110,24 @@ class Problem:
     gen_cnt: np.ndarray  # sum of ``cnt`` over G_o(v) per cid
     sources: Claims
 
+    @cached_property
+    def source_rows(self) -> tuple:
+        """The sources' E-step rows (:func:`side_rows`), shared by every local fit."""
+        return side_rows(self, self.sources, popularity=False)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(vp, v, B)``: every candidate pair (answer v', truth v) as cids,
+        in (object, v', v) order, and the ``(3, P)`` basis of the worker
+        answer likelihood ``A[v', v] = psi @ B`` (Eq. 3/4 is linear in psi);
+        an exact match outside O_H (a rel-1 and a rel-2 row) is one pair."""
+        row, cand, rel, coef = expand(self, np.arange(len(self.cand)), popularity=True)
+        new = np.ones(len(row), dtype=bool)
+        new[1:] = (row[1:] != row[:-1]) | (cand[1:] != cand[:-1])
+        B = np.zeros((3, int(new.sum())))
+        B[rel - 1, np.cumsum(new) - 1] = coef
+        return row[new], cand[new], B
+
 
 def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
     """Integer-code ``records`` (object, source, value) and ``anc_pairs``
@@ -163,21 +184,27 @@ def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
     )
 
 
-def code_answers(problem: Problem, answers: pd.DataFrame) -> Claims:
+def code_answers(problem: Problem, answers: pd.DataFrame | None) -> Claims | None:
     """Integer-code worker answers (object, worker, value) against the
-    candidates of ``problem``.
+    candidates of ``problem``; None without any.
 
     Raises ``ValueError`` on a repeated (object, worker) pair and on a value
     that is not a candidate of its object (answers select from ``V_o``).
     """
-    objects, values = problem.index.levels
-    keys = problem.obj_of_cand * len(values) + problem.index.codes[1]
+    if answers is None or not len(answers):
+        return None
     # The answers' own object codes, so that answers on objects the problem
     # lacks stay distinct in the repeated-pair check.
-    obj, names = pd.factorize(answers["object"], sort=True)
-    o = objects.get_indexer(names)[obj]
-    cid = _lookup(keys, len(values), o, values.get_indexer(answers["value"]))
-    return _code(answers, "worker", obj, cid)
+    obj = pd.factorize(answers["object"], sort=True)[0]
+    return _code(answers, "worker", obj, cids(problem, answers["object"], answers["value"]))
+
+
+def cids(problem: Problem, objects, values) -> np.ndarray:
+    """The cid of each (object, value) name pair, -1 for a non-candidate."""
+    obj_names, val_names = problem.index.levels
+    keys = problem.obj_of_cand * len(val_names) + problem.index.codes[1]
+    o, v = obj_names.get_indexer(objects), val_names.get_indexer(values)
+    return _lookup(keys, len(val_names), o, v)
 
 
 def _lookup(keys: np.ndarray, n_values: int, obj: np.ndarray, val: np.ndarray) -> np.ndarray:
@@ -257,6 +284,19 @@ def expand(problem: Problem, claim_cid: np.ndarray, popularity: bool):
     row, cand, rel, coef = (np.repeat(x, n) for x in (row, cand, rel, coef))
     rel[np.cumsum(n)[n == 2] - 1] = 2
     return row, cand, rel, coef
+
+
+def side_rows(problem: Problem, claims: Claims, popularity: bool):
+    """One side's claims (sources or workers) expanded over the candidates
+    of their objects by :func:`expand`, as the E-step's arrays ``(row, ar,
+    cand, coef)``: claim index; ``ar = 3·agent + rel − 1``, the flat index
+    of the claim's source / worker and relationship (rel 1 exact, 2
+    generalized, 3 wrong) into phi/psi; cid of the conditioning truth v;
+    and the static coefficient multiplying phi/psi[agent, rel]. Rows are
+    sorted by claim, so by object. Plain arrays, so Spark workers can load
+    them without this package."""
+    row, cand, rel, coef = expand(problem, claims.cid, popularity)
+    return row, claims.agent[row] * 3 + (rel - 1), cand, coef
 
 
 def _ratio(num, den: np.ndarray) -> np.ndarray:

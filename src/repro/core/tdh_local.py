@@ -15,11 +15,11 @@ The problem is compiled by :func:`repro.core.candidates.compile_problem`
 into integer-coded numpy arrays and each side's claims are expanded over
 their candidates by the Eq. (1)–(4) kernel
 :func:`repro.core.candidates.expand` into the block format ``(row, ar,
-cand, coef)`` of :func:`_side`. The E-step (:func:`_estep`) is three
-``np.bincount`` segment reductions per side over that expanded relation:
-the per-claim normaliser, the Eq. (9) numerators per cid, and the
-Eq. (10)/(11) sums per (agent, relationship) as one fused sum over the
-flat index ``ar``.
+cand, coef)`` of :func:`repro.core.candidates.side_rows`. The E-step
+(:func:`_estep`) is three ``np.bincount`` segment reductions per side over
+that expanded relation: the per-claim normaliser, the Eq. (9) numerators
+per cid, and the Eq. (10)/(11) sums per (agent, relationship) as one
+fused sum over the flat index ``ar``.
 Its coefficients and its per-claim normaliser depend only on the claim's
 object, so the E-step over all objects is the sum (:func:`_add`) of the
 E-steps over disjoint blocks of objects; only the M-step needs the totals.
@@ -29,7 +29,9 @@ E-step as a callable ``(mu, phi, psi) -> (mu_num, g_src, g_wrk)``:
 :class:`repro.core.tdh_spark.TDHSpark` maps it over object blocks on Spark.
 The local engine is what the crowdsourcing round loop uses: it re-runs EM
 thousands of times on tiny deltas, where per-job Spark overhead would
-dominate (see DESIGN.md §3). The compiled problem is returned in
+dominate (see DESIGN.md §3). The loop compiles its problem once and refits
+it every round with :meth:`TDH.fit_problem`; :meth:`TDH.fit` is the compile
+followed by that call. The compiled problem is returned in
 ``extras["problem"]`` for the assigners.
 """
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import partial
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import Claims, Problem, code_answers, compile_problem, expand
+from repro.core.candidates import Claims, Problem, code_answers, compile_problem, side_rows
 from repro.core.result import InferenceResult
 
 
@@ -77,10 +79,15 @@ class TDH:
         anc_pairs: (object, value, anc) — per-object candidate ancestor
             pairs (``anc ∈ G_o(value)``).
         """
-        problem, workers = _compile(records, answers, anc_pairs)
+        return self.fit_problem(compile_problem(records, anc_pairs), answers)
+
+    def fit_problem(self, problem: Problem, answers: pd.DataFrame | None) -> InferenceResult:
+        """:meth:`fit` on the compiled problem of its records and ancestor
+        pairs, whose source-side E-step rows every fit shares."""
+        workers = code_answers(problem, answers)
         block = (
-            _side(problem, problem.sources, popularity=False),
-            None if workers is None else _side(problem, workers, popularity=True),
+            problem.source_rows,
+            None if workers is None else side_rows(problem, workers, popularity=True),
         )
         return self._em(problem, workers, partial(_estep, block))
 
@@ -120,13 +127,6 @@ class TDH:
 
 
 # ----------------------------------------------------------------------
-def _compile(records: pd.DataFrame, answers: pd.DataFrame | None, anc_pairs: pd.DataFrame):
-    """The compiled problem and the coded worker answers (None without any)."""
-    problem = compile_problem(records, anc_pairs)
-    workers = code_answers(problem, answers) if answers is not None and len(answers) else None
-    return problem, workers
-
-
 def initial_mu(p: Problem, workers: Claims | None, gamma: float) -> np.ndarray:
     """EM's starting confidences: claim counts of both sides, smoothed by
     ``gamma - 1`` and normalised per object."""
@@ -137,25 +137,12 @@ def initial_mu(p: Problem, workers: Claims | None, gamma: float) -> np.ndarray:
     return counts / np.bincount(p.obj_of_cand, counts, minlength=len(p.objects))[p.obj_of_cand]
 
 
-def _side(problem: Problem, claims: Claims, popularity: bool):
-    """One side's claims (sources or workers) expanded over the candidates
-    of their objects by the Eq. (1)–(4) kernel, as the arrays ``(row, ar,
-    cand, coef)``: claim index; ``ar = 3·agent + rel − 1``, the flat index
-    of the claim's source / worker and relationship (rel 1 exact, 2
-    generalized, 3 wrong) into phi/psi; cid of the conditioning truth v;
-    and the static coefficient multiplying phi/psi[agent, rel]. Rows are
-    sorted by claim, so by object. Plain arrays, so Spark workers can load
-    them without this package."""
-    row, cand, rel, coef = expand(problem, claims.cid, popularity)
-    return row, claims.agent[row] * 3 + (rel - 1), cand, coef
-
-
 def _estep(block, mu: np.ndarray, phi: np.ndarray, psi: np.ndarray | None):
     """The E-step over a block of objects: ``(mu_num, g_src, g_wrk)``, the
     responsibilities summed per cid and per (agent, relationship) of each
-    side. ``block`` is ``(src_rows, wrk_rows)`` of :func:`_side` restricted
-    to the block's claims (claim indices from 0), ``wrk_rows`` None without
-    answers."""
+    side. ``block`` is ``(src_rows, wrk_rows)`` of :func:`side_rows`
+    restricted to the block's claims (claim indices from 0), ``wrk_rows``
+    None without answers."""
     src, wrk = block
     mu_num, g_src = _side_estep(src, phi, mu)
     if wrk is None:

@@ -28,13 +28,14 @@ collected result.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark import cloudpickle
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import tdh_local
-from repro.core.candidates import Claims, Problem
+from repro.core.candidates import Claims, Problem, code_answers, compile_problem, side_rows
 from repro.core.result import InferenceResult
-from repro.core.tdh_local import TDH, _add, _compile, _estep, _side
+from repro.core.tdh_local import TDH, _add, _estep
 
 # Workers may not be able to import ``repro``: ship the E-step by value.
 cloudpickle.register_pickle_by_value(tdh_local)
@@ -67,11 +68,12 @@ class TDHSpark(TDH):
         ``records``: (object, source, value); ``answers``: (object,
         worker, value) or None; ``anc_pairs``: (object, value, anc).
         """
-        problem, workers = _compile(
-            records.toPandas(),
-            None if answers is None else answers.toPandas(),
-            anc_pairs.toPandas(),
-        )
+        answers = None if answers is None else answers.toPandas()
+        return self.fit_problem(compile_problem(records.toPandas(), anc_pairs.toPandas()), answers)
+
+    def fit_problem(self, problem: Problem, answers: pd.DataFrame | None) -> InferenceResult:
+        """:meth:`fit` on a compiled problem and pandas ``answers`` (or None)."""
+        workers = code_answers(problem, answers)
         sc = self.spark.sparkContext
         n = sc.defaultParallelism
         blocks = sc.parallelize(_blocks(problem, workers, n), n).cache()
@@ -91,11 +93,12 @@ class TDHSpark(TDH):
 
 def _blocks(p: Problem, workers: Claims | None, n: int) -> list:
     """Both sides' expanded rows cut into ``n`` contiguous object ranges,
-    the blocks of :func:`~repro.core.tdh_local._estep` (some may be empty)."""
+    the blocks of :func:`~repro.core.tdh_local._estep` (some may be empty).
+    A Spark fit ships its rows once, so it leaves ``p.source_rows`` uncached."""
     bounds = np.linspace(0, len(p.objects), n + 1).astype(int)
 
     def cut(claims: Claims, popularity: bool) -> list:
-        row, *rest = _side(p, claims, popularity)
+        row, *rest = side_rows(p, claims, popularity)
         c = np.searchsorted(p.obj_of_cand[claims.cid], bounds)  # claims are sorted by object
         r = np.searchsorted(row, c)
         return [

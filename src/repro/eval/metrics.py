@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from repro.core.candidates import Problem, cids, ranges
 from repro.hierarchy import Hierarchy
 
 
@@ -87,6 +88,42 @@ def avg_distance(
             continue
         total += hierarchy.distance(v, t)
     return total / len(gold)
+
+
+def gold_scorer(problem: Problem, gold: pd.DataFrame, hierarchy: Hierarchy):
+    """``truths -> (accuracy, gen_accuracy, avg_distance)`` over the
+    candidates of ``problem``, equal to the three functions above.
+
+    Once: each candidate's exact hits, generalized hits and distance to the
+    gold truth (the height where a value is not in the hierarchy), summed
+    over its object's gold rows. Per truths frame (one row per object):
+    those integers gathered at its cids, plus the height for each gold row
+    whose object has no truth. A truth that is not a candidate raises
+    ``ValueError``.
+    """
+    n, height = len(gold), hierarchy.height
+    g = pd.Index(problem.objects).get_indexer(gold["object"])
+    g, truth = g[g >= 0], gold["truth"].to_numpy()[g >= 0]
+    row, cid = ranges(problem.start[g], problem.nV[g].astype(np.int64))
+    counts = []
+    for v, t in zip(problem.cand["value"].to_numpy()[cid], truth[row]):
+        known = v in hierarchy and t in hierarchy
+        gen = v == t or (known and hierarchy.is_ancestor(v, t))
+        counts.append((v == t, gen, hierarchy.distance(v, t) if known else height))
+    table = np.zeros((3, len(problem.cand)), dtype=np.int64)
+    np.add.at(table, (slice(None), cid), np.asarray(counts, dtype=np.int64).reshape(-1, 3).T)
+    n_gold = np.bincount(g, minlength=len(problem.objects))
+
+    def score(truths: pd.DataFrame) -> tuple[float, float, float]:
+        at = cids(problem, truths["object"], truths["value"])
+        if (at < 0).any():
+            o, v = truths[["object", "value"]].iloc[np.argmax(at < 0)]
+            raise ValueError(f"truth {v!r} is not a candidate of {o!r}")
+        hits, gen_hits, dist = table[:, at].sum(axis=1)
+        missing = n - n_gold[problem.obj_of_cand[at]].sum()
+        return hits / n, gen_hits / n, (dist + height * missing) / n
+
+    return score
 
 
 def expand_with_ancestors(value: str, hierarchy: Hierarchy) -> set[str]:

@@ -6,6 +6,10 @@ each round every worker receives ``k`` questions (default 10 workers ×
 uniformly random candidate), and inference re-runs on the grown answer
 set. Per-round Accuracy / GenAccuracy / AvgDistance are recorded.
 
+A run compiles its problem once (V_o comes from the sources only): TDH
+refits that problem every round, and :func:`repro.eval.metrics.gold_scorer`
+scores each round's truths.
+
 The registry pins the feasible inference × assignment combinations of
 Table 4 (EAI needs TDH's N/D tables, MB needs DOCS's domain model,
 QASCA needs a probabilistic confidence + worker model, ME works with
@@ -14,6 +18,7 @@ every algorithm).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,14 +34,27 @@ from repro.baselines.lca import lca
 from repro.baselines.lfc import lfc
 from repro.baselines.mdc import mdc
 from repro.baselines.vote import vote
-from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
+from repro.core.candidates import candidate_sets, compile_problem, hierarchical_ancestor_pairs
 from repro.core.result import InferenceResult
 from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import TruthDataset
 from repro.datagen.workers import SimulatedWorker, simulate_workers
 from repro.eval import metrics as M
 
-INFERENCE: dict[str, Callable] = {}
+# name -> (dataset, its compiled problem, its ancestor pairs) -> the run's
+# fit, answers (or None) -> InferenceResult.
+INFERENCE: dict[str, Callable] = {
+    "TDH": lambda ds, p, anc: partial(TDH(max_iter=60).fit_problem, p),
+    "VOTE": lambda ds, p, anc: partial(vote, ds.records),
+    "LCA": lambda ds, p, anc: partial(lca, ds.records),
+    "DOCS": lambda ds, p, anc: partial(docs, ds.records, hierarchy=ds.hierarchy),
+    "ACCU": lambda ds, p, anc: partial(accu, ds.records, max_iter=6),
+    "POPACCU": lambda ds, p, anc: partial(popaccu, ds.records, max_iter=6),
+    "ASUMS": lambda ds, p, anc: partial(asums, ds.records, anc_pairs=anc, hierarchy=ds.hierarchy),
+    "CRH": lambda ds, p, anc: partial(crh, ds.records),
+    "MDC": lambda ds, p, anc: partial(mdc, ds.records),
+    "LFC": lambda ds, p, anc: partial(lfc, ds.records),
+}
 ASSIGNERS = {
     "EAI": eai_assign,
     "QASCA": qasca_assign,
@@ -57,24 +75,6 @@ FEASIBLE = {
     "LFC": {"ME"},
     "VOTE": {"ME"},
 }
-
-
-def _register() -> None:
-    INFERENCE["TDH"] = lambda ds, cand, anc, rec, ans: TDH(max_iter=60).fit(rec, ans, anc)
-    INFERENCE["VOTE"] = lambda ds, cand, anc, rec, ans: vote(rec, ans)
-    INFERENCE["LCA"] = lambda ds, cand, anc, rec, ans: lca(rec, ans)
-    INFERENCE["DOCS"] = lambda ds, cand, anc, rec, ans: docs(rec, ans, hierarchy=ds.hierarchy)
-    INFERENCE["ACCU"] = lambda ds, cand, anc, rec, ans: accu(rec, ans, max_iter=6)
-    INFERENCE["POPACCU"] = lambda ds, cand, anc, rec, ans: popaccu(rec, ans, max_iter=6)
-    INFERENCE["ASUMS"] = lambda ds, cand, anc, rec, ans: asums(
-        rec, ans, anc_pairs=anc, hierarchy=ds.hierarchy
-    )
-    INFERENCE["CRH"] = lambda ds, cand, anc, rec, ans: crh(rec, ans)
-    INFERENCE["MDC"] = lambda ds, cand, anc, rec, ans: mdc(rec, ans)
-    INFERENCE["LFC"] = lambda ds, cand, anc, rec, ans: lfc(rec, ans)
-
-
-_register()
 
 
 @dataclass
@@ -101,57 +101,34 @@ def run_crowdsourcing(
     """Run the Fig. 2 loop and log quality per round (round 0 = no crowd)."""
     if assign_name not in FEASIBLE.get(infer_name, set()):
         raise ValueError(f"combination {infer_name}+{assign_name} is infeasible (Table 4 '-')")
-    infer = INFERENCE[infer_name]
     assigner = ASSIGNERS[assign_name]
     rng = np.random.default_rng(seed)
     if workers is None:
         workers = simulate_workers(n_workers, pi_p=pi_p, seed=seed + 1)
     cand = candidate_sets(ds.records)
     anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
+    problem = compile_problem(ds.records, anc)
+    infer = INFERENCE[infer_name](ds, problem, anc)
     gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
+    score = M.gold_scorer(problem, gold, ds.hierarchy)
     gold_cand = dict(zip(gold["object"], gold["truth"]))
-    objs = cand["object"].to_numpy()
-    cut = np.flatnonzero(objs[1:] != objs[:-1]) + 1  # cand is sorted by object
-    cands_by_obj: dict[str, list[str]] = dict(
-        zip(objs[np.r_[0, cut]], (v.tolist() for v in np.split(cand["value"].to_numpy(), cut)))
-    )
+    values = np.split(problem.cand["value"].to_numpy(), problem.start[1:])
+    cands_by_obj = dict(zip(problem.objects, (v.tolist() for v in values)))
     answers = pd.DataFrame(columns=["object", "worker", "value"])
-    history = []
-
-    def log_round(r: int, res: InferenceResult) -> None:
-        history.append(
-            {
-                "round": r,
-                "accuracy": M.accuracy(res.truths, gold),
-                "gen_accuracy": M.gen_accuracy(res.truths, gold, ds.hierarchy),
-                "avg_distance": M.avg_distance(res.truths, gold, ds.hierarchy),
-                "n_answers": len(answers),
-            }
-        )
-
-    res = infer(ds, cand, anc, ds.records, None)
-    log_round(0, res)
-    worker_ids = [w.worker for w in workers]
     by_id = {w.worker: w for w in workers}
+    res = infer(None)
+    history = [(0, *score(res.truths), 0)]
     for r in range(1, rounds + 1):
-        ctx = AssignContext(
-            result=res,
-            workers=worker_ids,
-            k=k,
-            answers=answers,
-            rng=rng,
-        )
-        assignment = assigner(ctx)
-        new_rows = []
-        for w_id, objs in assignment.items():
-            for o in objs:
-                v = by_id[w_id].answer(rng, cands_by_obj[o], gold_cand.get(o, ""))
-                new_rows.append((o, w_id, v))
-        if new_rows:
-            answers = pd.concat(
-                [answers, pd.DataFrame(new_rows, columns=["object", "worker", "value"])],
-                ignore_index=True,
-            )
-        res = infer(ds, cand, anc, ds.records, answers if len(answers) else None)
-        log_round(r, res)
-    return RoundLog(history=pd.DataFrame(history), final=res, answers=answers)
+        ctx = AssignContext(result=res, workers=list(by_id), k=k, answers=answers, rng=rng)
+        new = [
+            (o, w, by_id[w].answer(rng, cands_by_obj[o], gold_cand.get(o, "")))
+            for w, objs in assigner(ctx).items()
+            for o in objs
+        ]
+        if new:
+            new = pd.DataFrame(new, columns=answers.columns)
+            answers = pd.concat([answers, new], ignore_index=True)
+        res = infer(answers if len(answers) else None)
+        history.append((r, *score(res.truths), len(answers)))
+    columns = ["round", "accuracy", "gen_accuracy", "avg_distance", "n_answers"]
+    return RoundLog(history=pd.DataFrame(history, columns=columns), final=res, answers=answers)

@@ -70,8 +70,8 @@ def cands(ctx, o):
 
 def likelihood_basis(ctx, o):
     """Object ``o``'s basis (B1, B2, B3), a ``(3, K, K)`` slice of
-    ``ctx.pairs``; rows are the answered value v', columns the truth v."""
-    vp, _, B = ctx.pairs
+    ``ctx.problem.pairs``; rows are the answered value v', columns the truth v."""
+    vp, _, B = ctx.problem.pairs
     _, sl = cands(ctx, o)
     lo = int(np.searchsorted(vp, sl.start))
     K = sl.stop - sl.start

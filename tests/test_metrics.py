@@ -1,7 +1,13 @@
 """Tests for the paper's quality measures (§5)."""
+import itertools
+
 import pandas as pd
 import pytest
 
+from repro.baselines.vote import vote
+from repro.core.candidates import candidate_sets, compile_problem, hierarchical_ancestor_pairs
+from repro.core.tdh_local import TDH
+from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
 from repro.hierarchy.tree import ROOT
@@ -100,6 +106,89 @@ class TestGoldMapping:
         cand = pd.DataFrame({"object": ["o1"], "value": ["UK"]})
         out = M.map_gold_to_candidates(_gold({"o1": "NY"}), cand, h)
         assert out["truth"].iloc[0] == "NY"
+
+
+
+def _per_object_scores(truths, gold, h):
+    return M.accuracy(truths, gold), M.gen_accuracy(truths, gold, h), M.avg_distance(truths, gold, h)
+
+
+class TestGoldScorer:
+    """The gather scores of the round loop equal the per-object metrics."""
+
+    RECORDS = pd.DataFrame(
+        [
+            ("o1", "s1", "NY"), ("o1", "s2", "USA"), ("o1", "s3", "Atlantis"),
+            ("o2", "s1", "USA"), ("o2", "s2", "UK"),
+            ("o3", "s1", "NY"), ("o3", "s2", "LA"),
+            ("o4", "s1", "London"), ("o4", "s2", "Atlantis"),
+            ("o5", "s1", "LA"),
+        ],
+        columns=["object", "source", "value"],
+    )
+    # o2's truth maps to its candidate ancestor USA; o3's (London) has no
+    # candidate ancestor and stays raw; o4's is not in the hierarchy; o5 has
+    # no gold row; o6 has a gold row but no records, so it never has a truth.
+    GOLD = _gold(
+        {"o1": "LibertyIsland", "o2": "LibertyIsland", "o3": "London", "o4": "Atlantis", "o6": "LA"}
+    )
+
+    @pytest.fixture()
+    def setup(self, h):
+        cand = candidate_sets(self.RECORDS)
+        p = compile_problem(self.RECORDS, hierarchical_ancestor_pairs(cand, h))
+        gold = M.map_gold_to_candidates(self.GOLD, cand, h)
+        assert gold.set_index("object")["truth"].to_dict() == {
+            "o1": "NY", "o2": "USA", "o3": "London", "o4": "Atlantis", "o6": "LA"
+        }
+        return p, gold, M.gold_scorer(p, gold, h)
+
+    def test_every_choice_of_truths(self, h, setup):
+        p, gold, score = setup
+        per_object = p.cand.groupby("object")["value"].agg(list)
+        for choice in itertools.product(*per_object):
+            truths = _truths(dict(zip(per_object.index, choice)))
+            for dropped in [None, *truths["object"]]:  # a gold object without a truth
+                t = truths[truths["object"] != dropped]
+                assert score(t) == _per_object_scores(t, gold, h)
+
+    def test_unmapped_gold_frame(self, h, setup):
+        p, _, _ = setup
+        score = M.gold_scorer(p, self.GOLD, h)
+        truths = _truths({"o1": "USA", "o2": "USA", "o3": "LA", "o4": "London"})
+        assert score(truths) == _per_object_scores(truths, self.GOLD, h)
+
+    def test_baseline_truths(self, h, setup):
+        p, gold, score = setup
+        answers = pd.DataFrame(
+            [("o1", "w1", "NY"), ("o1", "w2", "NY"), ("o3", "w1", "LA"), ("o4", "w1", "Atlantis")],
+            columns=["object", "worker", "value"],
+        )
+        for ans in (None, answers):
+            truths = vote(self.RECORDS, ans).truths
+            assert score(truths) == _per_object_scores(truths, gold, h)
+
+    def test_non_candidate_truth_rejected(self, setup):
+        _, _, score = setup
+        with pytest.raises(ValueError, match="not a candidate"):
+            score(_truths({"o1": "NY", "o2": "LA"}))
+        with pytest.raises(ValueError, match="not a candidate"):
+            score(_truths({"o9": "NY"}))
+
+    @pytest.mark.parametrize("sf", [0.01, 0.05])
+    def test_generated_dataset(self, sf):
+        ds = birthplaces_lite(sf=sf, seed=3)
+        cand = candidate_sets(ds.records)
+        anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
+        p = compile_problem(ds.records, anc)
+        gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
+        score = M.gold_scorer(p, gold, ds.hierarchy)
+        for truths in (
+            TDH(max_iter=20).fit_problem(p, None).truths,
+            vote(ds.records).truths,
+            vote(ds.records).truths.sample(frac=0.5, random_state=0),
+        ):
+            assert score(truths) == _per_object_scores(truths, gold, ds.hierarchy)
 
 
 class TestMultiTruth:

@@ -1,9 +1,19 @@
 """Tests for the crowdsourcing round loop (Fig. 2)."""
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.assign.common import AssignContext
+from repro.baselines.docs import docs
+from repro.baselines.vote import vote
+from repro.core import candidates
+from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
+from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import birthplaces_lite
+from repro.datagen.workers import simulate_workers
+from repro.eval import metrics as M
 from repro.eval.simulate import ASSIGNERS, FEASIBLE, INFERENCE, run_crowdsourcing
 
 
@@ -76,3 +86,97 @@ class TestLoop:
     def test_baseline_combos_run(self, ds, infer, assign):
         log = run_crowdsourcing(ds, infer, assign, rounds=1, n_workers=2, k=2, seed=0)
         assert len(log.history) == 2
+
+
+# The reference round loop: every round a from-scratch fit on the records and
+# the answers so far, scored by the per-object metrics functions.
+# run_crowdsourcing, which compiles once per run and scores by gathers, must
+# reproduce it exactly.
+REFERENCE_FITS = {
+    "TDH": lambda ds, anc, ans: TDH(max_iter=60).fit(ds.records, ans, anc),
+    "DOCS": lambda ds, anc, ans: docs(ds.records, ans, hierarchy=ds.hierarchy),
+    "VOTE": lambda ds, anc, ans: vote(ds.records, ans),
+}
+
+
+def reference_loop(ds, infer, assign, rounds, n_workers, k, seed):
+    fit = REFERENCE_FITS[infer]
+    rng = np.random.default_rng(seed)
+    by_id = {w.worker: w for w in simulate_workers(n_workers, pi_p=0.75, seed=seed + 1)}
+    cand = candidate_sets(ds.records)
+    anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
+    gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
+    gold_cand = dict(zip(gold["object"], gold["truth"]))
+    cands_by_obj = cand.groupby("object")["value"].agg(list).to_dict()
+    answers = pd.DataFrame(columns=["object", "worker", "value"])
+    history = []
+
+    def log_round(r, res):
+        history.append(
+            {
+                "round": r,
+                "accuracy": M.accuracy(res.truths, gold),
+                "gen_accuracy": M.gen_accuracy(res.truths, gold, ds.hierarchy),
+                "avg_distance": M.avg_distance(res.truths, gold, ds.hierarchy),
+                "n_answers": len(answers),
+            }
+        )
+
+    res = fit(ds, anc, None)
+    log_round(0, res)
+    for r in range(1, rounds + 1):
+        ctx = AssignContext(result=res, workers=list(by_id), k=k, answers=answers, rng=rng)
+        new = [
+            (o, w, by_id[w].answer(rng, cands_by_obj[o], gold_cand.get(o, "")))
+            for w, objs in ASSIGNERS[assign](ctx).items()
+            for o in objs
+        ]
+        if new:
+            new = pd.DataFrame(new, columns=["object", "worker", "value"])
+            answers = pd.concat([answers, new], ignore_index=True)
+        res = fit(ds, anc, answers if len(answers) else None)
+        log_round(r, res)
+    return pd.DataFrame(history), answers, anc
+
+
+FINAL_FIELDS = ("truths", "mu", "phi", "psi", "N", "D", "worker_accuracy")
+
+
+@pytest.mark.parametrize(
+    "infer,assign",
+    [("TDH", "EAI"), ("TDH", "QASCA"), ("TDH", "ME"), ("DOCS", "MB"), ("VOTE", "ME")],
+)
+def test_loop_equals_a_from_scratch_fit_every_round(ds, infer, assign):
+    kw = dict(rounds=4, n_workers=4, k=3, seed=5)
+    log = run_crowdsourcing(ds, infer, assign, **kw)
+    history, answers, anc = reference_loop(ds, infer, assign, **kw)
+    assert log.history.equals(history)
+    assert log.answers.equals(answers)
+    fresh = REFERENCE_FITS[infer](ds, anc, log.answers)
+    for name in FINAL_FIELDS:
+        got, want = getattr(log.final, name), getattr(fresh, name)
+        assert (got is None and want is None) or got.equals(want), name
+
+
+def _count_compiles(monkeypatch) -> list:
+    """Count compile_problem calls through every repro module that imports it."""
+    calls = []
+    original = candidates.compile_problem
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.startswith("repro") and getattr(mod, "compile_problem", None) is original:
+            monkeypatch.setattr(mod, "compile_problem", counted)
+    return calls
+
+
+@pytest.mark.parametrize("assign", ["EAI", "QASCA", "ME"])
+@pytest.mark.parametrize("rounds", [1, 4])
+def test_tdh_run_compiles_once(ds, monkeypatch, assign, rounds):
+    calls = _count_compiles(monkeypatch)
+    run_crowdsourcing(ds, "TDH", assign, rounds=rounds, n_workers=3, k=2, seed=0)
+    assert len(calls) == 1

@@ -3,9 +3,16 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.candidates import candidate_sets, compile_problem, expand, hierarchical_ancestor_pairs
+from repro.core.candidates import (
+    candidate_sets,
+    code_answers,
+    compile_problem,
+    expand,
+    hierarchical_ancestor_pairs,
+    side_rows,
+)
 from repro.core.result import argmax_truths
-from repro.core.tdh_local import TDH, _compile, _side, _side_estep, initial_mu
+from repro.core.tdh_local import TDH, _side_estep, initial_mu
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
@@ -178,7 +185,7 @@ def test_fused_estep_equals_per_relationship_sums():
         ],
         columns=["object", "worker", "value"],
     )
-    p, workers = _compile(ds.records, answers, anc)
+    workers = code_answers(p, answers)
     for k in kinds:
         assert np.isin(np.flatnonzero(k), p.obj_of_cand[workers.cid]).any()
     for mu in (initial_mu(p, workers, 2.0), rng.random(len(p.cand))):
@@ -186,9 +193,65 @@ def test_fused_estep_equals_per_relationship_sums():
             param = rng.dirichlet(np.ones(3), len(claims.agents))
             row, cand, rel, coef = expand(p, claims.cid, popularity)
             want = _side_estep_per_relationship((row, claims.agent[row], cand, rel, coef), param, mu)
-            got = _side_estep(_side(p, claims, popularity), param, mu)
+            got = _side_estep(side_rows(p, claims, popularity), param, mu)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
+
+
+
+def _answers_on(p, n_workers, seed):
+    """``n_workers`` workers answering the first 12 objects of ``p`` at random."""
+    rng = np.random.default_rng(seed)
+    return pd.DataFrame(
+        [
+            (p.objects[o], f"w{w}", p.cand["value"][p.start[o] + rng.integers(p.nV[o])])
+            for w in range(n_workers)
+            for o in range(12)
+        ],
+        columns=["object", "worker", "value"],
+    )
+
+
+class TestCompiledOnce:
+    """What depends only on the problem is computed once per problem, and
+    fits that share a problem equal fits on separately compiled ones."""
+
+    @pytest.fixture(scope="class")
+    def bp(self):
+        ds = birthplaces_lite(sf=0.02, seed=0)
+        return ds, hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+
+    def test_source_rows_are_cached_and_fresh(self, bp):
+        ds, anc = bp
+        p = compile_problem(ds.records, anc)
+        assert p.source_rows is p.source_rows
+        for a, b in zip(p.source_rows, side_rows(p, p.sources, popularity=False)):
+            assert np.array_equal(a, b)
+
+    def test_pairs_are_cached_and_fresh(self, bp):
+        ds, anc = bp
+        p = compile_problem(ds.records, anc)
+        assert p.pairs is p.pairs
+        row, cand, rel, coef = expand(p, np.arange(len(p.cand)), popularity=True)
+        dense = np.zeros((3, len(p.cand), len(p.cand)))
+        dense[rel - 1, row, cand] = coef
+        vp, v, B = p.pairs
+        key = np.unique(row * len(p.cand) + cand)  # (v', v) order
+        assert np.array_equal(vp * len(p.cand) + v, key)
+        assert np.array_equal(B, dense[:, vp, v])
+
+    def test_fits_sharing_a_problem_equal_fits_on_fresh_ones(self, bp):
+        ds, anc = bp
+        p = compile_problem(ds.records, anc)
+        tdh = TDH(max_iter=30)
+        for answers in (None, _answers_on(p, 3, 0), _answers_on(p, 5, 1)):
+            shared = tdh.fit_problem(p, answers)
+            fresh = tdh.fit_problem(compile_problem(ds.records, anc), answers)
+            for got in (shared, tdh.fit(ds.records, answers, anc)):
+                for name in ("truths", "mu", "phi", "psi", "N", "D", "worker_accuracy"):
+                    a, b = getattr(got, name), getattr(fresh, name)
+                    assert (a is None and b is None) or a.equals(b), name
+                assert got.extras["n_iter"] == fresh.extras["n_iter"]
 
 
 class TestWorkerSide:

@@ -19,7 +19,7 @@ from repro.core.candidates import (
     expand,
     hierarchical_ancestor_pairs,
 )
-from repro.core.tdh_local import TDH, _add, _compile, _estep, initial_mu
+from repro.core.tdh_local import TDH, _add, _estep, initial_mu
 from repro.core.tdh_spark import TDHSpark, _blocks
 from repro.datagen.truthdata import birthplaces_lite, heritages_lite
 from repro.oracle import assert_equivalent
@@ -176,7 +176,8 @@ def test_block_estep_needs_no_repro_on_workers(tmp_path, problem):
     benchmark and ``jobs/`` put ``src`` on the driver's path only): the
     functions the E-step job ships must unpickle and run without it."""
     ds, cand, anc, answers = problem
-    p, workers = _compile(ds.records, answers, anc)
+    p = compile_problem(ds.records, anc)
+    workers = code_answers(p, answers)
     block = _blocks(p, workers, 2)[0]
     mu = initial_mu(p, workers, 2.0)
     phi = np.full((len(p.sources.agents), 3), 1 / 3)
