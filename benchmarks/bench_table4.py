@@ -3,8 +3,8 @@ assignment) and the Lemma 4.1 pruning benefit (cf. Figure 13)."""
 import numpy as np
 import pytest
 
+from benchmarks.eai_walk import heap_walk
 from repro.assign.common import AssignContext
-from repro.assign.eai import eai_assign
 from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
 from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import birthplaces_lite
@@ -48,7 +48,7 @@ def test_eai_assignment_with_pruning(benchmark, fitted):
             result=r, workers=[f"w{i}" for i in range(10)], k=5,
             answers=None, rng=np.random.default_rng(0),
         )
-        eai_assign(ctx, use_pruning=True)
+        heap_walk(ctx, use_pruning=True)
         return r.extras["_eai_evals"]
 
     evals = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -64,7 +64,7 @@ def test_eai_assignment_without_pruning(benchmark, fitted):
             result=r, workers=[f"w{i}" for i in range(10)], k=5,
             answers=None, rng=np.random.default_rng(0),
         )
-        eai_assign(ctx, use_pruning=False)
+        heap_walk(ctx, use_pruning=False)
         return r.extras["_eai_evals"]
 
     evals = benchmark.pedantic(run, rounds=3, iterations=1)

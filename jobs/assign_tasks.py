@@ -1,8 +1,8 @@
 """Task-assignment job: a TDH Spark fit, then EAI's Algorithm 1.
 
 The Eq. (9) numerator/denominator tables come from the TDH Spark fit;
-the Lemma 4.1 upper bound and the heap phase of Algorithm 1, which is
-inherently sequential, run locally on the collected result.
+the EAI table and Algorithm 1's per-worker selections, which are
+sequential over workers, run locally on the collected result.
 
 Usage: spark-submit jobs/assign_tasks.py [--dataset bp|her] [--sf 0.1] [--k 5]
 """
@@ -14,7 +14,7 @@ import numpy as np
 from _common import get_spark
 
 from repro.assign.common import AssignContext
-from repro.assign.eai import eai_assign
+from repro.assign.eai import eai_assign, eai_table
 from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
 from repro.core.tdh_spark import TDHSpark
 from repro.datagen.truthdata import birthplaces_lite, heritages_lite
@@ -44,13 +44,11 @@ def main() -> None:
         rng=np.random.default_rng(args.seed),
     )
     assignment = eai_assign(ctx)
+    Q, _ = eai_table(ctx)
     print(f"[assign] TDH fit: iters={res.extras['n_iter']} converged={res.extras['converged']}")
-    print(
-        f"[assign] EAI evaluations: {res.extras['_eai_evals']}, "
-        f"offers pruned by Lemma 4.1: {res.extras['_eai_pruned']}"
-    )
     for w, objs in assignment.items():
-        print(f"[assign] {w}: {objs}")
+        j = ctx.workers.index(w)
+        print(f"[assign] {w}: " + ", ".join(f"{o} (EAI {Q[j, ctx.objects.index(o)]:.3g})" for o in objs))
     spark.stop()
 
 

@@ -4,9 +4,9 @@
 rows of ``result.mu`` in (object, value) order, cut into objects by
 ``start``/``nV``, next to the round's workers' parameters (``psi``,
 ``acc``) and a W × |O| ``answered`` mask. Each assigner computes a score
-table over that layout. QASCA, MB and ME then pick with :func:`top_k`,
-a masked top-k with ties broken by object id; EAI picks with Algorithm 1's
-heap walk (:mod:`repro.assign.eai`).
+table over that layout and picks with :func:`top_k`, a masked top-k with
+ties broken by object id. EAI (:mod:`repro.assign.eai`) runs it as
+Algorithm 1: exclusive across workers, ties first to the higher U_EAI.
 
 Worker answer models:
 
@@ -116,14 +116,22 @@ def xlogx(p: np.ndarray) -> np.ndarray:
     return p * np.log(np.where(p > 0, p, 1.0))
 
 
-def top_k(ctx: AssignContext, order, Q: np.ndarray) -> dict[str, list[str]]:
+def top_k(
+    ctx: AssignContext, order, Q: np.ndarray, *, then: np.ndarray | None = None, exclusive: bool = False
+) -> dict[str, list[str]]:
     """Each worker ``ctx.workers[j]``, j in ``order``, gets the ``k``
     objects it has not answered with the highest score ``Q[j]`` (ties →
-    object id). ``Q`` is W × |O|, or one row that every worker shares."""
+    higher ``then[i]`` if given, then object id). ``Q`` is W × |O|, or one
+    row that every worker shares. With ``exclusive``, an object goes to at
+    most one worker: each chooses among those no earlier worker took."""
     Q = np.broadcast_to(Q, ctx.answered.shape)
+    free = ~ctx.answered
     out: dict[str, list[str]] = {}
     for j in order:
-        free = np.flatnonzero(~ctx.answered[j])
-        best = free[np.lexsort((free, -Q[j, free]))[: ctx.k]]
+        cand = np.flatnonzero(free[j])
+        keys = (cand,) if then is None else (cand, -then[cand])
+        best = cand[np.lexsort((*keys, -Q[j, cand]))[: ctx.k]]
+        if exclusive:
+            free[:, best] = False
         out[ctx.workers[j]] = [ctx.objects[i] for i in best]
     return out

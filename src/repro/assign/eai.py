@@ -8,27 +8,24 @@ Implements:
 * the quality measure ``EAI(w, o)`` (Eq. 14–15);
 * the **upper bound** ``U_EAI(o) = (1 - max_v mu_ov) / (|O|·(D_o+1))``
   of Lemma 4.1;
-* **Algorithm 1**: scan objects by non-increasing ``U_EAI`` from a max
-  heap, offer each to workers in non-increasing ``psi_{w,1}`` order, keep
-  the top-k per worker in min-heaps, cascade evictions to the next
-  worker, and stop when every heap is full and no remaining upper bound
-  can beat any heap minimum.
+* **Algorithm 1** as W sequential masked top-k selections: workers in
+  non-increasing ``psi_{w,1}`` order (stable), each taking the k objects
+  with the highest EAI among those it has not answered and no earlier
+  worker took this round, ties broken by (−EAI, −U_EAI, object id).
 
 :func:`eai_table` evaluates EAI for every (worker, object) in one pass:
 ``A = psi @ B`` over the basis of the compiled problem's candidate pairs
 (:attr:`~repro.core.candidates.Problem.pairs`), then Eq. (6), (16), (18)
 and (15) as segment sums and maxima over the pairs of each answer and
-object. Algorithm 1 reads the table: ``_eai_evals`` (Figure 13)
-counts its reads, ``_eai_pruned`` the offers its Lemma 4.1 test skipped.
+object. The paper's heap walk with the Lemma 4.1 pruning, which picks
+the same objects up to exact EAI ties, is kept as the reference and the
+Figure-13 instrument in ``benchmarks/eai_walk.py``.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
-
 import numpy as np
 
-from repro.assign.common import AssignContext
+from repro.assign.common import AssignContext, top_k
 
 
 def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
@@ -54,52 +51,19 @@ def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
     Q = np.where(p.nV > 1, (e_max - mu_max) / n_obj, 0.0)
     U = (1.0 - mu_max) / (n_obj * (ctx.D + 1.0))
     # Lemma 4.1 proves Q <= U, so any excess is rounding; clamping keeps
-    # the pruning skip (heap-min >= U) exact
+    # the pruning skip (heap-min >= U) of the reference walk exact
     np.minimum(Q, U, out=Q)
     ctx._eai = Q, U
     return ctx._eai
 
 
-def eai_assign(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, list[str]]:
-    """Algorithm 1 (with the Lemma 4.1 pruning; disable to measure its
-    benefit, cf. Figure 13)."""
+def eai_assign(ctx: AssignContext) -> dict[str, list[str]]:
+    """Algorithm 1: each worker, by non-increasing ``psi_{w,1}``, gets the
+    ``k`` objects with the highest EAI that it has not answered and no
+    earlier worker took (ties → higher U_EAI, then object id); every
+    worker's objects are listed in id order."""
     if ctx.N is None:
         raise ValueError("EAI requires a TDH result with N/D tables")
     Q, U = eai_table(ctx)
-    quality, answered = Q.tolist(), ctx.answered.tolist()  # the walk reads single entries
-    objects = ctx.objects
-    workers = np.argsort(-ctx.psi[:, 0], kind="stable").tolist()  # worker codes by psi_{w,1}
-    # max-heap of (-U, object code); codes follow object ids, so ties break by id
-    h_ub = [(-u, i) for i, u in enumerate(U.tolist())]
-    heapq.heapify(h_ub)
-    heaps: dict[int, list[tuple[float, int, int]]] = {w: [] for w in workers}
-    counter = itertools.count()
-    n_eval = n_pruned = 0
-    while h_ub:
-        neg_u, current = heapq.heappop(h_ub)
-        if use_pruning and all(
-            len(heaps[w]) == ctx.k and heaps[w][0][0] > -neg_u for w in workers
-        ):
-            break
-        for w in workers:
-            if answered[w][current]:
-                continue
-            if use_pruning and len(heaps[w]) == ctx.k and heaps[w][0][0] >= U[current]:
-                n_pruned += 1
-                continue
-            q = quality[w][current]
-            n_eval += 1
-            # (q, -counter): on equal quality the newest entry pops first,
-            # which makes the Lemma 4.1 skip (heap-min ≥ U ≥ EAI) exactly
-            # equivalent to insert-then-evict — pruning preserves results.
-            heapq.heappush(heaps[w], (q, -next(counter), current))
-            if len(heaps[w]) <= ctx.k:
-                break
-            _, _, evicted = heapq.heappop(heaps[w])
-            if evicted == current:
-                continue  # didn't make the cut; offer same object to next worker
-            current = evicted  # cascade the evicted object to later workers
-        # objects falling off the last worker's heap are dropped this round
-    ctx.result.extras["_eai_evals"] = n_eval
-    ctx.result.extras["_eai_pruned"] = n_pruned
-    return {ctx.workers[w]: sorted(objects[i] for _, _, i in heaps[w]) for w in workers}
+    order = np.argsort(-ctx.psi[:, 0], kind="stable")
+    return {w: sorted(objs) for w, objs in top_k(ctx, order, Q, then=U, exclusive=True).items()}

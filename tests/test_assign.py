@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from benchmarks.eai_walk import heap_walk
 from repro.assign.common import AssignContext, onecoin_matrix
 from repro.assign.eai import eai_assign, eai_table
 from repro.assign.mb import mb_assign, mb_table
@@ -189,16 +190,16 @@ class TestEAI:
             assert not set(objs) & set(w0_objs)
 
     def test_pruning_matches_unpruned(self, tdh_result):
-        a = eai_assign(make_ctx(make_result_copy(tdh_result)), use_pruning=True)
-        b = eai_assign(make_ctx(make_result_copy(tdh_result)), use_pruning=False)
+        a = heap_walk(make_ctx(make_result_copy(tdh_result)), use_pruning=True)
+        b = heap_walk(make_ctx(make_result_copy(tdh_result)), use_pruning=False)
         assert a == b
 
     def test_pruning_reduces_evaluations(self, tdh_result):
         r1 = make_result_copy(tdh_result)
-        eai_assign(make_ctx(r1), use_pruning=True)
+        heap_walk(make_ctx(r1), use_pruning=True)
         pruned = r1.extras["_eai_evals"]
         r2 = make_result_copy(tdh_result)
-        eai_assign(make_ctx(r2), use_pruning=False)
+        heap_walk(make_ctx(r2), use_pruning=False)
         full = r2.extras["_eai_evals"]
         assert pruned <= full
 
@@ -244,22 +245,71 @@ class TestEAI:
     def test_pruning_matches_unpruned_with_answers(self, answered_ctx_args):
         res, workers, answers = answered_ctx_args
         assert len(answers)
-        a = eai_assign(make_ctx(make_result_copy(res), workers=workers, answers=answers), use_pruning=True)
-        b = eai_assign(make_ctx(make_result_copy(res), workers=workers, answers=answers), use_pruning=False)
+        a = heap_walk(make_ctx(make_result_copy(res), workers=workers, answers=answers), use_pruning=True)
+        b = heap_walk(make_ctx(make_result_copy(res), workers=workers, answers=answers), use_pruning=False)
         assert a == b
 
     def test_pruned_offers_reported(self, tdh_result):
         r1 = make_result_copy(tdh_result)
-        eai_assign(make_ctx(r1), use_pruning=True)
+        heap_walk(make_ctx(r1), use_pruning=True)
         r2 = make_result_copy(tdh_result)
-        eai_assign(make_ctx(r2), use_pruning=False)
+        heap_walk(make_ctx(r2), use_pruning=False)
         assert r1.extras["_eai_pruned"] > 0
         assert r2.extras["_eai_pruned"] == 0
+
+    @pytest.mark.parametrize("k, n_workers", [(5, 4), (3, 10)])
+    def test_selection_matches_walk(self, tdh_result, answered_ctx_args, k, n_workers):
+        """The W masked top-k selections against the heap walk, on the
+        fixture fit without and with answers and on a hand-built table of
+        few distinct EAI values: same key order, sorted lists, the same
+        first worker, and sets that differ only from a worker whose k-th
+        place is inside a run of exactly equal EAI, and there with the
+        same EAI multiset."""
+        res, workers, answers = answered_ctx_args
+        plain = [f"w{i}" for i in range(n_workers)]
+        walk_agreement(make_ctx(make_result_copy(tdh_result), k=k, workers=plain))
+        walk_agreement(make_ctx(make_result_copy(res), k=k, workers=workers + plain[5:], answers=answers))
+        ctx = make_ctx(make_result_copy(tdh_result), k=k, workers=plain)
+        rng = np.random.default_rng(1)
+        Q = rng.integers(0, 4, ctx.answered.shape) / 1e4
+        ctx._eai = Q, Q.max(axis=0) + rng.integers(0, 3, Q.shape[1]) / 1e4  # Lemma 4.1: U >= EAI
+        assert walk_agreement(ctx) != "no tie"
 
     def test_requires_nd_tables(self, ds):
         ctx = make_ctx(vote(ds.records))
         with pytest.raises(ValueError, match="N/D"):
             eai_assign(ctx)
+
+
+def walk_agreement(ctx):
+    """Compare :func:`eai_assign` with the heap walk on ``ctx`` and return
+    ``"no tie"``, ``"tie, same"`` or ``"tie, differs"``. Asserts the
+    walk's key order and id-sorted lists, the same objects for the first
+    worker (the walk offers it objects by (−U_EAI, id), which is the tie
+    rule), identical sets while no worker's k-th place falls inside a run
+    of exactly equal EAI values, and, at the first worker whose set
+    differs, a tie at that worker's k-th place and equal EAI multisets."""
+    Q, _ = eai_table(ctx)
+    new, walk = eai_assign(ctx), heap_walk(ctx)
+    assert list(new) == list(walk) == [ctx.workers[j] for j in np.argsort(-ctx.psi[:, 0], kind="stable")]
+    assert all(objs == sorted(objs) for objs in new.values())
+    first = next(iter(new))
+    assert new[first] == walk[first]
+    code = pd.Index(ctx.objects)
+    free = ~ctx.answered
+    tied = False
+    for w, objs in new.items():
+        j = ctx.workers.index(w)
+        q = np.sort(Q[j, free[j]])[::-1]
+        tie = len(q) > ctx.k and q[ctx.k - 1] == q[ctx.k]
+        tied |= tie
+        if objs != walk[w]:
+            assert tie
+            mine, ref = Q[j, code.get_indexer(objs)], Q[j, code.get_indexer(walk[w])]
+            np.testing.assert_array_equal(np.sort(mine), np.sort(ref))
+            return "tie, differs"
+        free[:, code.get_indexer(objs)] = False
+    return "tie, same" if tied else "no tie"
 
 
 def dense_eai(ctx, w, o):
