@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import Problem, claim_grid, compile_problem
+from repro.core.candidates import Problem, argmax_cids, claim_grid, compile_problem
 
 
 def fold_answers(records: pd.DataFrame, answers: pd.DataFrame | None) -> pd.DataFrame:
@@ -88,6 +88,11 @@ class ClaimLayout:
         """(object, value, mu), one row per candidate in cid order."""
         cand = self.problem.cand
         return pd.DataFrame({"object": cand["object"], "value": cand["value"], "mu": mu})
+
+    def truths(self, mu: np.ndarray) -> pd.DataFrame:
+        """(object, value): each object's candidate of highest ``mu``, the
+        smallest value on ties."""
+        return self.problem.cand.take(argmax_cids(self.problem, mu)).reset_index(drop=True)
 
     def worker_accuracy(self, per_source) -> pd.DataFrame | None:
         """(worker, acc) read off a per-source array at ``"w:<worker>"``;

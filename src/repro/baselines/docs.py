@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.claims import ClaimLayout, one_coin
-from repro.core.result import InferenceResult, argmax_truths
+from repro.core.result import InferenceResult
 from repro.hierarchy import Hierarchy
 
 
@@ -63,7 +63,6 @@ def docs(
     layout = ClaimLayout(records, answers)
     src_of, dom_of, agent = domain_agents(layout, domains)
     post, q = one_coin(layout, agent, len(src_of), max_iter=max_iter, tol=tol, prior=prior)
-    mu = layout.mu(post)
     dom_q: dict[tuple[str, str], float] = {
         (layout.sources[s], d): float(x) for s, d, x in zip(src_of, dom_of, q)
     }
@@ -74,8 +73,8 @@ def docs(
         acc = [float(np.mean(q[src_of == s])) for s in at]
         wacc = pd.DataFrame({"worker": layout.workers, "acc": acc})
     return InferenceResult(
-        truths=argmax_truths(mu),
-        mu=mu,
+        truths=layout.truths(post),
+        mu=layout.mu(post),
         worker_accuracy=wacc,
         extras={"domain_quality": dom_q, "domains": domains},
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.claims import ClaimLayout
-from repro.core.result import InferenceResult, argmax_truths
+from repro.core.result import InferenceResult
 
 
 def lca(
@@ -50,11 +50,11 @@ def lca(
         h = new_h
         if done:
             break
-    mu = layout.mu(layout.posterior(np.log(np.clip(lik(h), 1e-300, None))))
+    post = layout.posterior(np.log(np.clip(lik(h), 1e-300, None)))
     honesty = pd.DataFrame({"source": layout.sources, "honesty": h})
     return InferenceResult(
-        truths=argmax_truths(mu),
-        mu=mu,
+        truths=layout.truths(post),
+        mu=layout.mu(post),
         worker_accuracy=layout.worker_accuracy(h),
         extras={"honesty": honesty},
     )

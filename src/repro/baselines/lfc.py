@@ -18,16 +18,18 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.claims import ClaimLayout
-from repro.core.result import InferenceResult, argmax_truths
+from repro.core.result import InferenceResult
 
 
-def _fit(
+def lfc(
     records: pd.DataFrame,
-    answers: pd.DataFrame | None,
-    max_iter: int,
-    tol: float,
-    smooth: float,
-):
+    answers: pd.DataFrame | None = None,
+    *,
+    max_iter: int = 50,
+    tol: float = 1e-6,
+    smooth: float = 0.3,
+) -> InferenceResult:
+    """Single-truth LFC (confusion-matrix EM)."""
     layout = ClaimLayout(records, answers)
     p = layout.problem
     nK = p.nV.astype(np.int64)
@@ -57,22 +59,11 @@ def _fit(
             mu = new_mu
             break
         mu = new_mu
-    mu_df = layout.mu(mu[p.obj_of_cand, np.arange(len(p.cand)) - p.start[p.obj_of_cand]])
+    post = mu[p.obj_of_cand, np.arange(len(p.cand)) - p.start[p.obj_of_cand]]
     diag = pi[:, np.arange(K), np.arange(K)].mean(axis=1)
-    return mu_df, layout.worker_accuracy(diag)
-
-
-def lfc(
-    records: pd.DataFrame,
-    answers: pd.DataFrame | None = None,
-    *,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-    smooth: float = 0.3,
-) -> InferenceResult:
-    """Single-truth LFC (confusion-matrix EM)."""
-    mu, wacc = _fit(records, answers, max_iter, tol, smooth)
-    return InferenceResult(truths=argmax_truths(mu), mu=mu, worker_accuracy=wacc)
+    return InferenceResult(
+        truths=layout.truths(post), mu=layout.mu(post), worker_accuracy=layout.worker_accuracy(diag)
+    )
 
 
 def lfc_mt(

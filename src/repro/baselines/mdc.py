@@ -13,7 +13,7 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.baselines.claims import ClaimLayout, one_coin
-from repro.core.result import InferenceResult, argmax_truths
+from repro.core.result import InferenceResult
 
 
 def mdc(
@@ -29,7 +29,6 @@ def mdc(
     post, r = one_coin(
         layout, layout.src, len(layout.sources), max_iter=max_iter, tol=tol, prior=prior
     )
-    mu = layout.mu(post)
     return InferenceResult(
-        truths=argmax_truths(mu), mu=mu, worker_accuracy=layout.worker_accuracy(r)
+        truths=layout.truths(post), mu=layout.mu(post), worker_accuracy=layout.worker_accuracy(r)
     )

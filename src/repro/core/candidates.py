@@ -243,6 +243,15 @@ def claim_grid(problem: Problem, claim_cid: np.ndarray) -> tuple[np.ndarray, np.
     return ranges(problem.start[obj], problem.nV[obj].astype(np.int64))
 
 
+def argmax_cids(problem: Problem, mu: np.ndarray) -> np.ndarray:
+    """Each object's candidate of highest ``mu`` (cid order), the first
+    (smallest value) on ties: :func:`repro.core.result.argmax_truths` as
+    segment reductions."""
+    p = problem
+    top = np.maximum.reduceat(mu, p.start)[p.obj_of_cand]
+    return np.minimum.reduceat(np.where(mu == top, np.arange(len(mu)), len(mu)), p.start)
+
+
 def ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(row, idx)``: for each ``i`` in order, the indices ``start[i] ..
     start[i] + count[i] - 1``, each tagged with ``row = i``."""

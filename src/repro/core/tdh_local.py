@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import Claims, Problem, code_answers, compile_problem, side_rows
+from repro.core.candidates import Claims, Problem, argmax_cids, code_answers, compile_problem, side_rows
 from repro.core.result import InferenceResult
 
 
@@ -195,7 +195,7 @@ def _package(
         psi_df.insert(0, "worker", workers.agents)
         wacc = pd.DataFrame({"worker": workers.agents, "acc": psi[:, 0]})
     return InferenceResult(
-        truths=_truths(p, mu),
+        truths=p.cand.take(argmax_cids(p, mu)).reset_index(drop=True),
         mu=mu_df,
         phi=phi_df,
         psi=psi_df,
@@ -204,12 +204,3 @@ def _package(
         worker_accuracy=wacc,
         extras={"n_iter": n_iter, "converged": converged, "problem": p},
     )
-
-
-def _truths(p: Problem, mu: np.ndarray) -> pd.DataFrame:
-    """The candidate of highest ``mu`` per object, the first (smallest
-    value) on ties: :func:`repro.core.result.argmax_truths` as segment
-    reductions over the cid-ordered ``mu``."""
-    top = np.maximum.reduceat(mu, p.start)[p.obj_of_cand]
-    first = np.minimum.reduceat(np.where(mu == top, np.arange(len(mu)), len(mu)), p.start)
-    return p.cand.take(first).reset_index(drop=True)

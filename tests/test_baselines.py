@@ -1,9 +1,11 @@
 """Tests for the baseline truth-discovery algorithms."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.accu import accu, popaccu
+from repro.baselines.accu import _claim_pairs, _discount, accu, popaccu
 from repro.baselines.asums import asums
 from repro.baselines.claims import ClaimLayout, fold_answers
 from repro.baselines.crh import crh, crh_numeric
@@ -15,6 +17,7 @@ from repro.baselines.multitruth import dart, ltm
 from repro.baselines.numeric import catd, chi2_quantile, mean_baseline
 from repro.baselines.vote import vote
 from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
+from repro.core.result import argmax_truths
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 
@@ -83,6 +86,127 @@ class TestCRH:
         assert 9 < float(t) < 80  # pulled toward the cluster, not the outlier
 
 
+def _ref_pair_dependence(
+    claims: pd.DataFrame,
+    truth_map: dict[str, str],
+    acc: pd.Series,
+    *,
+    copy_prob: float,
+    dep_prior: float,
+    min_shared: int = 3,
+) -> dict[tuple[str, str], float]:
+    """ACCU's source-pair dependence as a per-object Python loop over
+    name-keyed pair counts: the reference for the claim-pair counts."""
+    by_obj = claims.groupby("object")
+    pair_stats: dict[tuple[str, str], list[int]] = {}
+    for o, grp in by_obj:
+        t = truth_map.get(o)
+        rows = list(zip(grp["source"], grp["value"]))
+        for (s1, v1), (s2, v2) in itertools.combinations(sorted(rows), 2):
+            key = (s1, s2)
+            st = pair_stats.setdefault(key, [0, 0, 0])  # kt, kf, kd
+            if v1 == v2:
+                st[0 if v1 == t else 1] += 1
+            else:
+                st[2] += 1
+    nbar = max(2.0, claims.groupby("object")["value"].nunique().mean())
+    out: dict[tuple[str, str], float] = {}
+    for (s1, s2), (kt, kf, kd) in pair_stats.items():
+        if kt + kf + kd < min_shared:
+            continue
+        a1 = float(np.clip(acc.get(s1, 0.8), 0.05, 0.95))
+        a2 = float(np.clip(acc.get(s2, 0.8), 0.05, 0.95))
+        same_t_i = a1 * a2
+        same_f_i = (1 - a1) * (1 - a2) / nbar
+        diff_i = max(1e-6, 1 - same_t_i - same_f_i)
+        c = copy_prob
+        same_t_d = c * a1 + (1 - c) * same_t_i
+        same_f_d = c * (1 - a1) + (1 - c) * same_f_i
+        diff_d = max(1e-6, (1 - c) * diff_i)
+        ll_i = kt * np.log(same_t_i) + kf * np.log(same_f_i) + kd * np.log(diff_i)
+        ll_d = kt * np.log(same_t_d) + kf * np.log(same_f_d) + kd * np.log(diff_d)
+        m = max(ll_i, ll_d)
+        li, ld = np.exp(ll_i - m), np.exp(ll_d - m)
+        out[(s1, s2)] = float(dep_prior * ld / (dep_prior * ld + (1 - dep_prior) * li))
+    return out
+
+
+def _ref_discount(claims: pd.DataFrame, dep: dict, acc: pd.Series, copy_prob: float) -> np.ndarray:
+    """The copy discount as a loop over (object, value) groups, each ranked
+    by a stable sort on −accuracy (ties → claim order)."""
+    indep = np.ones(len(claims))
+    if dep:
+        a_row = claims["source"].map(acc)
+        for _, grp in claims.assign(acc=a_row).groupby(["object", "value"]):
+            if len(grp) < 2:
+                continue
+            order = grp.sort_values("acc", ascending=False, kind="stable")
+            seen: list[str] = []
+            for idx, s in zip(order.index, order["source"]):
+                w = 1.0
+                for s2 in seen:
+                    key = (min(s, s2), max(s, s2))
+                    w *= 1.0 - copy_prob * dep.get(key, 0.0)
+                indep[idx] = w
+                seen.append(s)
+    return indep
+
+
+def _ref_accu(records, answers, *, popularity, max_iter=10, copy_prob=0.8, dep_prior=0.1):
+    """ACCU/POPACCU with :func:`_ref_pair_dependence` and
+    :func:`_ref_discount`, and the truths of each iteration read from a
+    pandas argmax."""
+    layout = ClaimLayout(records, answers)
+    claims, sources = layout.claims, layout.sources
+    acc = pd.Series(0.8, index=sources)
+    row, cand, eq = layout.grid
+    p = layout.problem
+    if popularity:
+        q = p.cnt[layout.cid[row]] / np.clip(p.S[p.obj_of_cand[cand]] - p.cnt[cand], 1.0, None)
+    else:
+        q = 1.0 / np.clip(p.nV[p.obj_of_cand[cand]] - 1.0, 1.0, None)
+    truth_map: dict[str, str] = {}
+    dep: dict[tuple[str, str], float] = {}
+    indep = np.ones(len(claims))
+    for it in range(max_iter):
+        if it > 0:
+            dep = _ref_pair_dependence(
+                claims, truth_map, acc, copy_prob=copy_prob, dep_prior=dep_prior
+            )
+            indep = _ref_discount(claims, dep, acc, copy_prob)
+        a_s = np.clip(acc.to_numpy()[layout.src[row]], 0.01, 0.99)
+        lik = np.where(eq, a_s, (1.0 - a_s) * np.clip(q, 1e-12, None))
+        post = layout.posterior(np.log(lik) * indep[row])
+        mu = layout.mu(post)
+        truths = argmax_truths(mu)
+        truth_map = dict(zip(truths["object"], truths["value"]))
+        cp = pd.Series(post[layout.cid], index=claims.index)
+        new_acc = (cp.groupby(claims["source"]).sum() + 1.0) / (
+            cp.groupby(claims["source"]).size() + 2.0
+        )
+        new_acc = new_acc.reindex(sources).fillna(0.8)
+        if float((new_acc - acc).abs().max()) < 1e-6:
+            acc = new_acc
+            break
+        acc = new_acc
+    return truths, mu, acc, dep
+
+
+def _tied_copiers(n: int = 20) -> pd.DataFrame:
+    """``n`` sources that all claim "v" on object o0 and disagree in
+    varying patterns on o1..o4 (so every pair of them shares 5 objects,
+    with different counts), plus "x", "y" and "z" on o0 and o5, of which
+    "x" and "z" also share o6; rows shuffled so that claim order is not
+    source order."""
+    rows = [(o, s, "v") for o in ("o0", "o5") for s in "xyz"]
+    rows += [("o6", "x", "c"), ("o6", "z", "d")]
+    for i in range(n):
+        rows.append(("o0", f"s{i:02d}", "v"))
+        rows += [(f"o{k}", f"s{i:02d}", str(i * k % (k + 1))) for k in range(1, 5)]
+    recs = pd.DataFrame(rows, columns=["object", "source", "value"])
+    return recs.sample(frac=1.0, random_state=0).reset_index(drop=True)
+
+
 class TestAccu:
     def test_consensus(self):
         assert accu(SIMPLE, detect_dependence=False).truth_map()["o3"] == "p"
@@ -122,6 +246,48 @@ class TestAccu:
         )
         res = accu(SIMPLE, answers)
         assert list(res.worker_accuracy["worker"]) == ["w1"]
+
+    @pytest.mark.parametrize("popularity", [False, True], ids=["ACCU", "POPACCU"])
+    @pytest.mark.parametrize("with_answers", [False, True], ids=["records", "answers"])
+    def test_matches_reference(self, ds, answers, popularity, with_answers):
+        ans = answers if with_answers else None
+        fit = popaccu if popularity else accu
+        res = fit(ds.records, ans)
+        truths, mu, acc, dep = _ref_accu(ds.records, ans, popularity=popularity)
+        assert res.extras["dependence"] == dep and len(dep) > 0
+        assert res.extras["accuracy"].equals(acc)
+        assert res.mu.equals(mu)
+        assert res.truths.equals(truths)
+
+    def test_tied_discount_follows_claim_order(self):
+        """More than 16 equally accurate sources on one candidate, where
+        pandas' default sort is no longer stable: the weights equal the
+        loop's under (−accuracy, claim order)."""
+        layout = ClaimLayout(_tied_copiers(), None)
+        p = layout.problem
+        truth_map = dict(zip(p.objects, p.cand["value"][p.start]))  # first candidates
+        acc = pd.Series(0.6, index=layout.sources)
+        acc["x"] = 0.9
+        dep = _ref_pair_dependence(layout.claims, truth_map, acc, copy_prob=0.8, dep_prior=0.1)
+        assert len(set(dep.values())) > 1  # so the tie order changes the weights
+        a, b = _claim_pairs(layout)
+        same = layout.cid[a] == layout.cid[b]
+        a, b = a[same], b[same]
+        names = np.asarray(layout.sources)
+        pairs = zip(names[layout.src[a]], names[layout.src[b]])
+        factor = np.array([1.0 - 0.8 * dep.get(pair, 0.0) for pair in pairs])
+        w = _discount(layout, a, b, factor, acc.to_numpy())
+        np.testing.assert_array_equal(w, _ref_discount(layout.claims, dep, acc, 0.8))
+
+    def test_pair_below_min_shared_untested(self):
+        recs = _tied_copiers()
+        res = accu(recs)
+        dep = res.extras["dependence"]
+        assert ("x", "y") not in dep and ("y", "z") not in dep  # 2 shared objects
+        assert ("x", "z") in dep and ("s00", "s01") in dep  # 3 and 5
+        truths, mu, acc, ref_dep = _ref_accu(recs, None, popularity=False)
+        assert dep == ref_dep
+        assert res.mu.equals(mu) and res.truths.equals(truths)
 
 
 class TestLCA:
@@ -326,9 +492,10 @@ class TestClaimLayout:
             lambda r, a, ds, anc: docs(r, a, hierarchy=ds.hierarchy),
             lambda r, a, ds, anc: mdc(r, a),
             lambda r, a, ds, anc: accu(r, a),
+            lambda r, a, ds, anc: popaccu(r, a),
             lambda r, a, ds, anc: asums(r, a, anc_pairs=anc, hierarchy=ds.hierarchy),
         ],
-        ids=["LCA", "DOCS", "MDC", "ACCU", "ASUMS"],
+        ids=["LCA", "DOCS", "MDC", "ACCU", "POPACCU", "ASUMS"],
     )
     @pytest.mark.parametrize("where", ["records", "answers"])
     def test_repeated_pair_rejected(self, ds, anc, answers, fit, where):
