@@ -27,15 +27,11 @@ def asums(
     answers: pd.DataFrame | None = None,
     *,
     anc_pairs: pd.DataFrame,
-    hierarchy: Hierarchy | None = None,
-    depth_of: dict[str, int] | None = None,
+    hierarchy: Hierarchy,
     max_iter: int = 20,
     threshold: float = 0.4,
 ) -> InferenceResult:
-    """Hierarchy-aware Sums. ``depth_of`` overrides hierarchy depths
-    (used for the numeric implied hierarchy where no tree exists)."""
-    if depth_of is None and hierarchy is None:
-        raise ValueError("asums needs either hierarchy or depth_of")
+    """Hierarchy-aware Sums; a value outside ``hierarchy`` has depth 0."""
     layout = ClaimLayout(records, answers, anc_pairs)
     p = layout.problem
     n_cand, n_sources = len(p.cand), len(layout.sources)
@@ -58,8 +54,7 @@ def asums(
         trust /= max(trust.max(), 1e-12)
     mu = layout.mu(belief)
     mu["mu"] /= mu.groupby("object")["mu"].transform("sum")
-    if depth_of is None:
-        depth_of = {v: (hierarchy.depth(v) if v in hierarchy else 0) for v in p.cand["value"]}
+    depth_of = {v: (hierarchy.depth(v) if v in hierarchy else 0) for v in p.cand["value"]}
     return InferenceResult(truths=select_truths(p, mu["mu"].to_numpy(), depth_of, threshold), mu=mu)
 
 

@@ -11,8 +11,9 @@ claim × candidate grid comes from
 coefficients use, and :meth:`ClaimLayout.posterior` turns per-row
 log-likelihoods into the per-object truth posterior.
 
-:func:`one_coin` is the one-coin EM of DOCS (one agent per source and
-domain) and MDC (one agent per source).
+:func:`truth_sets` is the one multi-truth output of LFC-MT, DART and
+LTM, and :func:`one_coin` is the one-coin EM of DOCS (one agent per
+source and domain) and MDC (one agent per source).
 """
 from __future__ import annotations
 
@@ -101,6 +102,20 @@ class ClaimLayout:
             return None
         at = np.searchsorted(self.sources, [f"w:{w}" for w in self.workers])
         return pd.DataFrame({"worker": self.workers, "acc": [float(per_source[i]) for i in at]})
+
+
+def truth_sets(
+    problem: Problem, score: np.ndarray, threshold: float
+) -> tuple[np.ndarray, dict[str, set[str]]]:
+    """Multi-truth output: every candidate with ``score ≥ threshold``
+    plus each object's highest-scoring one (:func:`argmax_cids`). Returns
+    the kept cids as a mask and ``{object: {values}}``."""
+    keep = score >= threshold
+    keep[argmax_cids(problem, score)] = True
+    out: dict[str, set[str]] = {}
+    for o, v in problem.cand[keep].itertuples(index=False):
+        out.setdefault(o, set()).add(v)
+    return keep, out
 
 
 def one_coin(

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.baselines.claims import fold_answers
-from repro.core.result import InferenceResult, argmax_truths
+from repro.baselines.claims import ClaimLayout
+from repro.core.candidates import argmax_cids
+from repro.core.result import InferenceResult
 
 _EPS = 1e-9
 
@@ -24,28 +25,29 @@ def crh(
     max_iter: int = 20,
 ) -> InferenceResult:
     """Categorical CRH; worker answers are folded in as extra sources."""
-    claims = fold_answers(records, answers)
-    sources = sorted(claims["source"].unique())
-    w = pd.Series(1.0, index=sources)
+    layout = ClaimLayout(records, answers)
+    p, cid, src = layout.problem, layout.cid, layout.src
+    obj = p.obj_of_cand[cid]
+
+    def scores(w: np.ndarray) -> np.ndarray:
+        # pandas' group sum is compensated, so it is kept over ``bincount``
+        return pd.Series(w[src]).groupby(cid).sum().to_numpy()
+
+    w = np.ones(len(layout.sources))
     truth = None
     for _ in range(max_iter):
-        scored = claims.assign(wt=claims["source"].map(w))
-        scores = scored.groupby(["object", "value"])["wt"].sum().rename("mu").reset_index()
-        new_truth = argmax_truths(scores)
-        t_map = dict(zip(new_truth["object"], new_truth["value"]))
-        loss = claims.assign(miss=[t_map[o] != v for o, v in zip(claims["object"], claims["value"])])
-        loss_s = loss.groupby("source")["miss"].sum().reindex(sources).fillna(0.0) + _EPS
-        w = -np.log(loss_s / loss_s.sum())
-        w = w.clip(lower=_EPS)
-        if truth is not None and t_map == truth:
-            truth = t_map
+        new_truth = argmax_cids(p, scores(w))
+        miss = cid != new_truth[obj]
+        loss_s = pd.Series(np.bincount(src, miss, minlength=len(w)) + _EPS)
+        w = (-np.log(loss_s / loss_s.sum())).clip(lower=_EPS).to_numpy()
+        done = truth is not None and np.array_equal(new_truth, truth)
+        truth = new_truth
+        if done:
             break
-        truth = t_map
-    scored = claims.assign(wt=claims["source"].map(w))
-    mu = scored.groupby(["object", "value"])["wt"].sum().rename("mu").reset_index()
-    mu["mu"] /= mu.groupby("object")["mu"].transform("sum")
-    mu = mu.sort_values(["object", "value"]).reset_index(drop=True)
-    return InferenceResult(truths=argmax_truths(mu), mu=mu)
+    mu = pd.Series(scores(w))
+    mu /= mu.groupby(p.obj_of_cand).transform("sum")
+    mu = mu.to_numpy()
+    return InferenceResult(truths=layout.truths(mu), mu=layout.mu(mu))
 
 
 def crh_numeric(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.baselines.claims import ClaimLayout
+from repro.baselines.claims import ClaimLayout, truth_sets
 from repro.core.result import InferenceResult
 
 
@@ -31,6 +31,15 @@ def lfc(
 ) -> InferenceResult:
     """Single-truth LFC (confusion-matrix EM)."""
     layout = ClaimLayout(records, answers)
+    post, diag = _fit(layout, max_iter=max_iter, tol=tol, smooth=smooth)
+    return InferenceResult(
+        truths=layout.truths(post), mu=layout.mu(post), worker_accuracy=layout.worker_accuracy(diag)
+    )
+
+
+def _fit(layout: ClaimLayout, *, max_iter: int = 50, tol: float = 1e-6, smooth: float = 0.3):
+    """Confusion-matrix EM on ``layout``: the candidate posterior (cid
+    order) and each source's mean confusion-matrix diagonal."""
     p = layout.problem
     nK = p.nV.astype(np.int64)
     K, S = int(nK.max()), len(layout.sources)
@@ -60,10 +69,7 @@ def lfc(
             break
         mu = new_mu
     post = mu[p.obj_of_cand, np.arange(len(p.cand)) - p.start[p.obj_of_cand]]
-    diag = pi[:, np.arange(K), np.arange(K)].mean(axis=1)
-    return InferenceResult(
-        truths=layout.truths(post), mu=layout.mu(post), worker_accuracy=layout.worker_accuracy(diag)
-    )
+    return post, pi[:, np.arange(K), np.arange(K)].mean(axis=1)
 
 
 def lfc_mt(
@@ -74,11 +80,6 @@ def lfc_mt(
     **kw,
 ) -> dict[str, set[str]]:
     """LFC-MT: all values with posterior ≥ threshold (at least the argmax)."""
-    res = lfc(records, answers, **kw)
-    out: dict[str, set[str]] = {}
-    for o, v, m in res.mu.itertuples(index=False):
-        if m >= threshold:
-            out.setdefault(o, set()).add(v)
-    for o, v in zip(res.truths["object"], res.truths["value"]):
-        out.setdefault(o, set()).add(v)
-    return out
+    layout = ClaimLayout(records, answers)
+    post, _ = _fit(layout, **kw)
+    return truth_sets(layout.problem, post, threshold)[1]

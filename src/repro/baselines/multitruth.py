@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.baselines.claims import ClaimLayout
+from repro.baselines.claims import ClaimLayout, truth_sets
 from repro.hierarchy import Hierarchy
 
 
@@ -71,22 +71,7 @@ def ltm(
         if sweep >= burn_in:
             totals += t
             kept += 1
-    post = totals / max(kept, 1)
-    cand = layout.problem.cand
-    out: dict[str, set[str]] = {}
-    for o, v, pc in zip(cand["object"], cand["value"], post):
-        if pc >= 0.5:
-            out.setdefault(o, set()).add(v)
-    # guarantee non-empty output per object (most probable value)
-    best = (
-        cand.assign(p=post)
-        .sort_values(["object", "p", "value"], ascending=[True, False, True])
-        .groupby("object")
-        .head(1)
-    )
-    for o, v in zip(best["object"], best["value"]):
-        out.setdefault(o, set()).add(v)
-    return out
+    return truth_sets(layout.problem, totals / max(kept, 1), 0.5)[1]
 
 
 def dart(
@@ -104,52 +89,31 @@ def dart(
     from repro.baselines.docs import domain_agents, object_domains
 
     layout = ClaimLayout(records, None)
-    p = layout.problem
     src_of, _, agent = domain_agents(layout, object_domains(records, hierarchy))
-    A = len(src_of)
-    # the claims of each object, in claim order
-    obj = p.obj_of_cand[layout.cid]
-    by_obj = np.split(np.argsort(obj, kind="stable"), np.cumsum(np.bincount(obj))[:-1])
-    cand = p.cand
+    A, n_cand = len(src_of), len(layout.problem.cand)
+    # the grid with the claimed rows first, so each candidate's score adds
+    # its claimants, then the other claims on its object, in claim order
+    row, cand, eq = layout.grid
+    order = np.argsort(~eq, kind="stable")
+    cand, ag, eq = cand[order], agent[row[order]], eq[order]
     n_claims = np.bincount(agent, minlength=A).astype(float)
     rho = np.full(A, 0.6)  # recall on true values
     spec = np.full(A, 0.8)  # specificity on false values
-    truth_sets: dict[str, set[str]] = {}
+    out: dict[str, set[str]] = {}
     for _ in range(max_iter):
-        scores = np.zeros(len(cand))
-        for i, claims in enumerate(by_obj):
-            covering = agent[claims].tolist()
-            cids = range(p.start[i], p.start[i] + int(p.nV[i]))
-            claimed_by: dict[int, list[int]] = {c: [] for c in cids}
-            for ai, c in zip(covering, layout.cid[claims].tolist()):
-                claimed_by[c].append(ai)
-            for c, claimed in claimed_by.items():
-                sc = 0.0
-                for ai in claimed:
-                    sc += np.log(rho[ai] / max(1e-6, 1 - spec[ai]))
-                for ai in covering:
-                    if ai not in claimed:
-                        # a source claims only one value even when several
-                        # are true (the multi-truth setting), so a missing
-                        # claim is weak negative evidence — damp it
-                        sc += 0.1 * np.log(max(1e-6, 1 - rho[ai]) / spec[ai])
-                scores[c] = 1.0 / (1.0 + np.exp(-sc))
-        truth_sets = {}
-        for o, v, sc in zip(cand["object"], cand["value"], scores):
-            if sc >= threshold:
-                truth_sets.setdefault(o, set()).add(v)
-        for i, o in enumerate(p.objects):
-            if o not in truth_sets:
-                first = p.start[i]
-                best = first + int(np.argmax(scores[first : first + int(p.nV[i])]))
-                truth_sets[o] = {cand["value"].iloc[best]}
+        # a source claims only one value even when several are true (the
+        # multi-truth setting), so a missing claim is weak negative
+        # evidence — damp it
+        claimed = np.log(rho / np.maximum(1e-6, 1 - spec))
+        missing = 0.1 * np.log(np.maximum(1e-6, 1 - rho) / spec)
+        sc = np.bincount(cand, np.where(eq, claimed[ag], missing[ag]), minlength=n_cand)
+        keep, out = truth_sets(layout.problem, 1.0 / (1.0 + np.exp(-sc)), threshold)
         # M-step: recall/specificity from current truth sets
-        hit = [v in truth_sets[o] for o, v in zip(records["object"], records["value"])]
-        num_r = np.bincount(agent, np.asarray(hit, dtype=float), minlength=A)
+        num_r = np.bincount(agent, keep[layout.cid], minlength=A)
         new_rho = np.clip((num_r + 2.0) / (n_claims + 4.0), 0.05, 0.95)
         new_spec = np.clip(1 - (n_claims - num_r + 1.0) / (n_claims + 4.0), 0.05, 0.95)
         if np.allclose(new_rho, rho, atol=1e-6) and np.allclose(new_spec, spec, atol=1e-6):
             rho, spec = new_rho, new_spec
             break
         rho, spec = new_rho, new_spec
-    return truth_sets
+    return out

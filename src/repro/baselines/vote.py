@@ -5,34 +5,33 @@ Selects the value with the highest frequency among the claimed values
 the vote share, so uncertainty-based task assigners can consume it.
 
 A Spark implementation is provided for oracle-checked distributed
-counting; the pandas one is used inside the crowdsourcing round loop.
+counting; the claim-layout one is used inside the crowdsourcing round loop.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.claims import fold_answers
-from repro.core.result import InferenceResult, argmax_truths
+from repro.baselines.claims import ClaimLayout
+from repro.core.result import InferenceResult
 
 
 def vote(records: pd.DataFrame, answers: pd.DataFrame | None = None) -> InferenceResult:
     """Majority vote; confidences are normalized vote shares."""
-    claims = fold_answers(records, answers)
-    counts = claims.groupby(["object", "value"]).size().rename("n").reset_index()
-    counts["mu"] = counts["n"] / counts.groupby("object")["n"].transform("sum")
-    mu = counts[["object", "value", "mu"]].sort_values(["object", "value"]).reset_index(
-        drop=True
-    )
-    return InferenceResult(truths=argmax_truths(mu), mu=mu)
+    layout = ClaimLayout(records, answers)
+    p = layout.problem
+    counts = np.bincount(layout.cid, minlength=len(p.cand))
+    mu = counts / np.add.reduceat(counts, p.start)[p.obj_of_cand]
+    return InferenceResult(truths=layout.truths(mu), mu=layout.mu(mu))
 
 
 def vote_spark(records: DataFrame, answers: DataFrame | None = None) -> DataFrame:
     """Distributed majority vote: returns (object, value, n, mu).
 
     The winning row per object is the one with max ``mu`` (ties broken by
-    smallest value, matching :func:`repro.core.result.argmax_truths`).
+    smallest value, as :func:`vote` picks it).
     """
     claims = records.select("object", "value")
     if answers is not None:

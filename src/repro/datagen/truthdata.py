@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.core.candidates import candidate_sets
 from repro.hierarchy import Hierarchy, generate_hierarchy
 
 
@@ -39,18 +40,9 @@ class TruthDataset:
     hierarchy: Hierarchy
     source_profiles: pd.DataFrame = field(repr=False, default=None)  # type: ignore[assignment]
 
-    @property
-    def objects(self) -> list[str]:
-        return sorted(self.records["object"].unique())
-
     def candidates(self) -> pd.DataFrame:
         """Distinct (object, value) pairs — the candidate sets ``V_o``."""
-        return (
-            self.records[["object", "value"]]
-            .drop_duplicates()
-            .sort_values(["object", "value"])
-            .reset_index(drop=True)
-        )
+        return candidate_sets(self.records)
 
 
 def _sample_profiles(

@@ -42,6 +42,10 @@ class Hierarchy:
                 self._children[p].append(n)
         for c in self._children.values():
             c.sort()
+        self._at_depth: dict[int, list[str]] = {}
+        for n in sorted(parent):
+            self._at_depth.setdefault(self._depth[n], []).append(n)
+        self._height = max(self._at_depth)
 
     def _compute_depth(self, n: str) -> int:
         if n in self._depth:
@@ -84,7 +88,7 @@ class Hierarchy:
     @property
     def height(self) -> int:
         """Maximum node depth."""
-        return max(self._depth.values())
+        return self._height
 
     def ancestors(self, v: str, *, include_root: bool = False) -> list[str]:
         """Proper ancestors of ``v``, nearest first; root excluded by default."""
@@ -131,7 +135,8 @@ class Hierarchy:
         return self._depth[u] + self._depth[v] - 2 * self._depth[a]
 
     def nodes_at_depth(self, d: int) -> list[str]:
-        return sorted(n for n, nd in self._depth.items() if nd == d)
+        """The nodes at depth ``d``, sorted."""
+        return list(self._at_depth.get(d, []))
 
     # -- bulk/closure views -------------------------------------------
     def closure(self) -> frozenset[tuple[str, str]]:
@@ -154,10 +159,3 @@ class Hierarchy:
         """Closure as a pandas frame with columns (desc, anc)."""
         pairs = sorted(self.closure())
         return pd.DataFrame(pairs, columns=["desc", "anc"])
-
-    def to_parent_pdf(self) -> pd.DataFrame:
-        """(node, parent, depth) frame; parent of the root is null."""
-        rows = [
-            (n, self._parent[n], self._depth[n]) for n in sorted(self._parent)
-        ]
-        return pd.DataFrame(rows, columns=["node", "parent", "depth"])

@@ -6,10 +6,10 @@ import pandas as pd
 import pytest
 
 from repro.baselines.accu import _claim_pairs, _discount, accu, popaccu
-from repro.baselines.asums import asums
+from repro.baselines.asums import asums, select_truths
 from repro.baselines.claims import ClaimLayout, fold_answers
 from repro.baselines.crh import crh, crh_numeric
-from repro.baselines.docs import docs, object_domains
+from repro.baselines.docs import docs, domain_agents, object_domains
 from repro.baselines.lca import lca
 from repro.baselines.lfc import lfc, lfc_mt
 from repro.baselines.mdc import mdc
@@ -20,6 +20,7 @@ from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
 from repro.core.result import argmax_truths
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
+from repro.hierarchy import Hierarchy
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,83 @@ class TestVote:
         assert vote(SIMPLE, answers).truth_map()["o1"] == "b"
 
 
+def _ref_crh(records, answers, *, max_iter=20, eps=1e-9):
+    """Categorical CRH as a loop over name-keyed pandas groupbys and a
+    truth dict, the form it had before it read the claim layout."""
+    claims = fold_answers(records, answers)
+    sources = sorted(claims["source"].unique())
+    w = pd.Series(1.0, index=sources)
+    truth = None
+    for _ in range(max_iter):
+        scored = claims.assign(wt=claims["source"].map(w))
+        scores = scored.groupby(["object", "value"])["wt"].sum().rename("mu").reset_index()
+        new_truth = argmax_truths(scores)
+        t_map = dict(zip(new_truth["object"], new_truth["value"]))
+        loss = claims.assign(miss=[t_map[o] != v for o, v in zip(claims["object"], claims["value"])])
+        loss_s = loss.groupby("source")["miss"].sum().reindex(sources).fillna(0.0) + eps
+        w = -np.log(loss_s / loss_s.sum())
+        w = w.clip(lower=eps)
+        if truth is not None and t_map == truth:
+            truth = t_map
+            break
+        truth = t_map
+    scored = claims.assign(wt=claims["source"].map(w))
+    mu = scored.groupby(["object", "value"])["wt"].sum().rename("mu").reset_index()
+    mu["mu"] /= mu.groupby("object")["mu"].transform("sum")
+    mu = mu.sort_values(["object", "value"]).reset_index(drop=True)
+    return argmax_truths(mu), mu
+
+
+def _ref_dart(records, *, hierarchy, max_iter=10, threshold=0.35):
+    """DART as a per-object, per-candidate loop, the form it had before
+    its scores became one ``bincount`` over the claim grid."""
+    layout = ClaimLayout(records, None)
+    p = layout.problem
+    src_of, _, agent = domain_agents(layout, object_domains(records, hierarchy))
+    A = len(src_of)
+    obj = p.obj_of_cand[layout.cid]
+    by_obj = np.split(np.argsort(obj, kind="stable"), np.cumsum(np.bincount(obj))[:-1])
+    cand = p.cand
+    n_claims = np.bincount(agent, minlength=A).astype(float)
+    rho = np.full(A, 0.6)
+    spec = np.full(A, 0.8)
+    truth_sets: dict[str, set[str]] = {}
+    for _ in range(max_iter):
+        scores = np.zeros(len(cand))
+        for i, claims in enumerate(by_obj):
+            covering = agent[claims].tolist()
+            cids = range(p.start[i], p.start[i] + int(p.nV[i]))
+            claimed_by: dict[int, list[int]] = {c: [] for c in cids}
+            for ai, c in zip(covering, layout.cid[claims].tolist()):
+                claimed_by[c].append(ai)
+            for c, claimed in claimed_by.items():
+                sc = 0.0
+                for ai in claimed:
+                    sc += np.log(rho[ai] / max(1e-6, 1 - spec[ai]))
+                for ai in covering:
+                    if ai not in claimed:
+                        sc += 0.1 * np.log(max(1e-6, 1 - rho[ai]) / spec[ai])
+                scores[c] = 1.0 / (1.0 + np.exp(-sc))
+        truth_sets = {}
+        for o, v, sc in zip(cand["object"], cand["value"], scores):
+            if sc >= threshold:
+                truth_sets.setdefault(o, set()).add(v)
+        for i, o in enumerate(p.objects):
+            if o not in truth_sets:
+                first = p.start[i]
+                best = first + int(np.argmax(scores[first : first + int(p.nV[i])]))
+                truth_sets[o] = {cand["value"].iloc[best]}
+        hit = [v in truth_sets[o] for o, v in zip(records["object"], records["value"])]
+        num_r = np.bincount(agent, np.asarray(hit, dtype=float), minlength=A)
+        new_rho = np.clip((num_r + 2.0) / (n_claims + 4.0), 0.05, 0.95)
+        new_spec = np.clip(1 - (n_claims - num_r + 1.0) / (n_claims + 4.0), 0.05, 0.95)
+        if np.allclose(new_rho, rho, atol=1e-6) and np.allclose(new_spec, spec, atol=1e-6):
+            rho, spec = new_rho, new_spec
+            break
+        rho, spec = new_rho, new_spec
+    return truth_sets
+
+
 class TestCRH:
     def test_simple_consensus(self):
         assert crh(SIMPLE).truth_map() == {"o1": "a", "o2": "x", "o3": "p"}
@@ -84,6 +162,14 @@ class TestCRH:
         )
         t = crh_numeric(recs).truth_map()["o1"]
         assert 9 < float(t) < 80  # pulled toward the cluster, not the outlier
+
+    @pytest.mark.parametrize("with_answers", [False, True])
+    def test_matches_reference(self, ds, answers, with_answers):
+        ans = answers if with_answers else None
+        res = crh(ds.records, ans)
+        truths, mu = _ref_crh(ds.records, ans)
+        assert res.truths.equals(truths)
+        assert res.mu.equals(mu)
 
 
 def _ref_pair_dependence(
@@ -343,10 +429,6 @@ class TestDOCS:
 
 
 class TestASUMS:
-    def test_requires_hierarchy_or_depths(self, anc):
-        with pytest.raises(ValueError):
-            asums(SIMPLE, anc_pairs=anc.iloc[:0])
-
     def test_consensus(self, ds, anc, gold):
         res = asums(ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)
         assert M.accuracy(res.truths, gold) > 0.4
@@ -381,6 +463,28 @@ class TestMultiTruth:
     def test_dart_all_objects_covered(self, ds):
         out = dart(ds.records, hierarchy=ds.hierarchy)
         assert set(out) == set(ds.records["object"].unique())
+
+    def test_dart_matches_reference(self, ds):
+        assert dart(ds.records, hierarchy=ds.hierarchy) == _ref_dart(
+            ds.records, hierarchy=ds.hierarchy
+        )
+
+    def test_dart_falls_back_to_argmax(self):
+        """o1's three claims disagree, so no candidate reaches the
+        threshold and its set is its best-scoring value; o2's agree."""
+        h = Hierarchy(
+            {"ROOT": None, "A": "ROOT", "B": "ROOT", "a1": "A", "a2": "A", "a3": "A", "b1": "B"}
+        )
+        recs = pd.DataFrame(
+            [
+                ("o1", "s1", "a1"), ("o1", "s2", "a2"), ("o1", "s3", "a3"),
+                ("o2", "s1", "b1"), ("o2", "s2", "b1"), ("o2", "s3", "b1"),
+            ],
+            columns=["object", "source", "value"],
+        )
+        out = dart(recs, hierarchy=h, threshold=0.9)
+        assert out == {"o1": {"a1"}, "o2": {"b1"}}
+        assert out == _ref_dart(recs, hierarchy=h, threshold=0.9)
 
 
 class TestNumericBaselines:
@@ -494,8 +598,10 @@ class TestClaimLayout:
             lambda r, a, ds, anc: accu(r, a),
             lambda r, a, ds, anc: popaccu(r, a),
             lambda r, a, ds, anc: asums(r, a, anc_pairs=anc, hierarchy=ds.hierarchy),
+            lambda r, a, ds, anc: vote(r, a),
+            lambda r, a, ds, anc: crh(r, a),
         ],
-        ids=["LCA", "DOCS", "MDC", "ACCU", "POPACCU", "ASUMS"],
+        ids=["LCA", "DOCS", "MDC", "ACCU", "POPACCU", "ASUMS", "VOTE", "CRH"],
     )
     @pytest.mark.parametrize("where", ["records", "answers"])
     def test_repeated_pair_rejected(self, ds, anc, answers, fit, where):
@@ -518,8 +624,10 @@ class TestASUMSSelection:
     def test_matches_loop_with_depth_of(self, ds, anc):
         # few distinct depths, so the belief and value tie-breaks decide
         depth_of = {v: len(v) % 3 for v in ds.records["value"].unique()}
-        res = asums(ds.records, anc_pairs=anc, depth_of=depth_of)
-        assert res.truths.equals(_loop_select(res.mu, depth_of, 0.4))
+        res = asums(ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)
+        p = ClaimLayout(ds.records, None, anc).problem
+        truths = select_truths(p, res.mu["mu"].to_numpy(), depth_of, 0.4)
+        assert truths.equals(_loop_select(res.mu, depth_of, 0.4))
 
     def test_ties_break_to_smallest_value(self):
         recs = pd.DataFrame(
@@ -528,6 +636,9 @@ class TestASUMSSelection:
         )
         depth_of = {"a": 0, "b": 0}
         no_anc = pd.DataFrame(columns=["object", "value", "anc"])
-        res = asums(recs, anc_pairs=no_anc, depth_of=depth_of)
-        assert res.truth_map() == {"o1": "a", "o2": "a"}
-        assert res.truths.equals(_loop_select(res.mu, depth_of, 0.4))
+        h = Hierarchy({"ROOT": None, "a": "ROOT", "b": "ROOT"})
+        res = asums(recs, anc_pairs=no_anc, hierarchy=h)
+        p = ClaimLayout(recs, None, no_anc).problem
+        truths = select_truths(p, res.mu["mu"].to_numpy(), depth_of, 0.4)
+        assert dict(zip(truths["object"], truths["value"])) == {"o1": "a", "o2": "a"}
+        assert truths.equals(_loop_select(res.mu, depth_of, 0.4))

@@ -128,11 +128,6 @@ class TestClosure:
         pairs = geo.closure()
         assert len(pairs) == sum(geo.depth(n) - 1 for n in geo.nodes if geo.depth(n) >= 1)
 
-    def test_parent_pdf(self, geo):
-        pdf = geo.to_parent_pdf()
-        row = pdf[pdf["node"] == "LA"].iloc[0]
-        assert row["parent"] == "CA" and row["depth"] == 3
-
 
 class TestGenerator:
     def test_deterministic(self):
