@@ -32,9 +32,11 @@ class InferenceResult:
         symmetric worker model (used by QASCA/MB with baselines).
     extras:
         Algorithm-specific state. TDH results (both engines) hold
-        ``n_iter``, the EM iterations run; ``converged``, True when the
-        last one moved no ``mu`` by ``tol`` or more and False when EM
-        stopped at ``max_iter``; and the compiled ``problem``
+        ``n_iter``, the E-steps EM ran; ``converged``, True when the
+        last EM map moved no ``mu`` by ``tol`` or more and False when EM
+        stopped at ``max_iter``; ``trace``, a frame with the MAP
+        ``objective`` and the ``max_dmu`` of the EM map at every E-step
+        EM kept (:meth:`repro.core.tdh_local.TDH._em`); and the compiled ``problem``
         (:class:`repro.core.candidates.Problem`);
         their ``mu`` and ``N`` rows are in the problem's candidate order
         and ``D`` rows in its object order, which the EAI assigner relies on.

@@ -19,20 +19,23 @@ cand, coef)`` of :func:`repro.core.candidates.side_rows`. The E-step
 (:func:`_estep`) is three ``np.bincount`` segment reductions per side over
 that expanded relation: the per-claim normaliser, the Eq. (9) numerators
 per cid, and the Eq. (10)/(11) sums per (agent, relationship) as one
-fused sum over the flat index ``ar``.
+fused sum over the flat index ``ar``. The normaliser is P(claim | mu, phi,
+psi), so the E-step also returns the log-likelihood of the claims, from
+which the EM loop has the MAP objective at no extra pass.
 Its coefficients and its per-claim normaliser depend only on the claim's
 object, so the E-step over all objects is the sum (:func:`_add`) of the
 E-steps over disjoint blocks of objects; only the M-step needs the totals.
-The EM loop (:meth:`TDH._em`) and :func:`_package` therefore take the
-E-step as a callable ``(mu, phi, psi) -> (mu_num, g_src, g_wrk)``:
-:class:`TDH` runs :func:`_estep` on the whole relation, one block, and
-:class:`repro.core.tdh_spark.TDHSpark` maps it over object blocks on Spark.
+The EM loop (:meth:`TDH._em`, safeguarded SQUAREM) and :func:`_package`
+therefore take the E-step as a callable ``(mu, phi, psi) -> (mu_num,
+g_src, g_wrk, loglik)``: :class:`TDH` runs :func:`_estep` on the whole
+relation, one block, and :class:`repro.core.tdh_spark.TDHSpark` maps it
+over object blocks on Spark.
 The local engine is what the crowdsourcing round loop uses: it re-runs EM
 thousands of times on tiny deltas, where per-job Spark overhead would
 dominate (see DESIGN.md §3). The loop compiles its problem once and refits
-it every round with :meth:`TDH.fit_problem`; :meth:`TDH.fit` is the compile
-followed by that call. The compiled problem is returned in
-``extras["problem"]`` for the assigners.
+it every round with :meth:`TDH.fit_problem`, starting EM from the previous
+round's fit; :meth:`TDH.fit` is the compile followed by that call. The
+compiled problem is returned in ``extras["problem"]`` for the assigners.
 """
 from __future__ import annotations
 
@@ -81,49 +84,128 @@ class TDH:
         """
         return self.fit_problem(compile_problem(records, anc_pairs), answers)
 
-    def fit_problem(self, problem: Problem, answers: pd.DataFrame | None) -> InferenceResult:
+    def fit_problem(
+        self, problem: Problem, answers: pd.DataFrame | None, start: InferenceResult | None = None
+    ) -> InferenceResult:
         """:meth:`fit` on the compiled problem of its records and ancestor
-        pairs, whose source-side E-step rows every fit shares."""
+        pairs, whose source-side E-step rows every fit shares. ``start`` is
+        an earlier fit on the same records to warm-start EM from
+        (:meth:`_start`)."""
         workers = code_answers(problem, answers)
         block = (
             problem.source_rows,
             None if workers is None else side_rows(problem, workers, popularity=True),
         )
-        return self._em(problem, workers, partial(_estep, block))
+        return self._em(problem, workers, partial(_estep, block), start)
 
     # ------------------------------------------------------------------
-    def _em(self, p: Problem, workers: Claims | None, estep) -> InferenceResult:
-        """MAP EM from smoothed claim counts and the prior means of phi/psi.
+    def _start(self, p: Problem, workers: Claims | None, start: InferenceResult | None) -> tuple:
+        """EM's starting point ``(mu, phi, psi)``: from the claim counts and
+        the prior means of phi/psi, or warm from ``start``, whose mu rows
+        are in ``p``'s cid order and whose phi rows are ``p``'s sources.
+        A worker without a psi row in ``start`` starts at the prior mean."""
+        psi = None
+        if start is None:
+            mu = initial_mu(p, workers, self.gamma)
+            phi = np.tile(self.alpha / self.alpha.sum(), (len(p.sources.agents), 1))
+        else:
+            mu = start.mu["mu"].to_numpy(dtype=float)
+            phi = start.phi[["phi1", "phi2", "phi3"]].to_numpy(dtype=float)
+            if len(mu) != len(p.cand) or list(start.phi["source"]) != p.sources.agents:
+                raise ValueError("start is a fit on other records")
+        if workers is not None:
+            psi = np.tile(self.beta / self.beta.sum(), (len(workers.agents), 1))
+            if start is not None and start.psi is not None:
+                at = pd.Index(start.psi["worker"]).get_indexer(workers.agents)
+                known = at >= 0
+                psi[known] = start.psi[["psi1", "psi2", "psi3"]].to_numpy()[at[known]]
+        return mu, phi, psi
+
+    def _em(
+        self, p: Problem, workers: Claims | None, estep, start: InferenceResult | None = None
+    ) -> InferenceResult:
+        """MAP EM as safeguarded SQUAREM (Varadhan & Roland 2008, scheme S3).
 
         ``estep(mu, phi, psi)`` returns the E-step sums of every object:
-        the Eq. (9) numerators per cid and the per-agent, per-relationship
-        sums of Eq. (10)/(11), before the priors are added.
+        the Eq. (9) numerators per cid, the per-agent, per-relationship
+        sums of Eq. (10)/(11), before the priors are added, and the
+        log-likelihood of the claims. One E-step at theta gives both the
+        plain EM map F(theta) and the MAP objective L(theta).
+
+        Each cycle maps theta0 twice, extrapolates theta' = theta0 - 2a r +
+        a^2 v (r = theta1 - theta0, v = theta2 - 2 theta1 + theta0, a =
+        min(-|r|/|v|, -1), halved toward -1 until theta' is inside the
+        simplices) and maps theta' once more. theta' counts only if
+        L(theta') >= L(theta1); otherwise the cycle ends at theta2, which
+        keeps EM's monotone objective (Dempster, Laird & Rubin 1977).
+        ``n_iter`` counts E-steps, and EM stops when one map moves no mu
+        by ``tol`` or more (``converged``) or after ``max_iter`` E-steps.
+        ``extras["trace"]`` holds L and that move for every E-step but the
+        discarded ones.
         """
         obj_of = p.obj_of_cand
         gm1 = self.gamma - 1.0
+        a1, b1 = self.alpha - 1.0, self.beta - 1.0
         nO_s = np.bincount(p.sources.agent, minlength=len(p.sources.agents)).astype(float)
-        phi = np.tile(self.alpha / self.alpha.sum(), (len(nO_s), 1))
-        psi, W_per_obj = None, 0.0
+        nO_w, W_per_obj = None, 0.0
         if workers is not None:
             nO_w = np.bincount(workers.agent, minlength=len(workers.agents)).astype(float)
-            psi = np.tile(self.beta / self.beta.sum(), (len(nO_w), 1))
             W_per_obj = np.bincount(obj_of[workers.cid], minlength=len(p.objects)).astype(float)
-        mu = initial_mu(p, workers, self.gamma)
         mu_den = p.S + W_per_obj + p.nV * gm1
+        den_of_cand = mu_den[obj_of]
         a_sum = self.alpha.sum() - 3.0
         b_sum = self.beta.sum() - 3.0
-        n_iter, delta = 0, np.inf
-        for n_iter in range(1, self.max_iter + 1):
-            mu_num, g_src, g_wrk = estep(mu, phi, psi)
-            mu_new = (mu_num + gm1) / mu_den[obj_of]
-            phi = (g_src + (self.alpha - 1.0)) / (nO_s[:, None] + a_sum)
+        trace: list[tuple[float, float]] = []
+
+        def em_map(theta):
+            """One E-step at theta: F(theta), L(theta) and F's max |dmu|."""
+            mu, phi, psi = theta
+            mu_num, g_src, g_wrk, loglik = estep(mu, phi, psi)
+            new = (
+                (mu_num + gm1) / den_of_cand,
+                (g_src + a1) / (nO_s[:, None] + a_sum),
+                None if psi is None else (g_wrk + b1) / (nO_w[:, None] + b_sum),
+            )
+            objective = loglik + gm1 * np.log(mu).sum() + np.log(phi).sum(0) @ a1
             if psi is not None:
-                psi = (g_wrk + (self.beta - 1.0)) / (nO_w[:, None] + b_sum)
-            delta = float(np.max(np.abs(mu_new - mu)))
-            mu = mu_new
-            if delta < self.tol:
-                break
-        return _package(p, workers, estep, mu, phi, psi, gm1, mu_den, n_iter, delta < self.tol)
+                objective += np.log(psi).sum(0) @ b1
+            return new, objective, float(np.max(np.abs(new[0] - mu)))
+
+        theta = self._start(p, workers, start)
+        cycle, n_iter, converged = [theta], 0, False  # this cycle's theta0, theta1, theta2
+        while n_iter < self.max_iter and not converged:
+            n_iter += 1
+            if len(cycle) < 3:  # a plain EM map
+                new, objective, delta = em_map(cycle[-1])
+                cycle.append(new)
+            else:  # the extrapolated point, kept if no worse than theta1
+                new, objective, delta = em_map(_extrapolate(*cycle))
+                cycle = [new]
+                if objective < trace[-1][0]:
+                    cycle = [theta]  # go on from theta2
+                    continue
+            trace.append((objective, delta))
+            theta, converged = new, delta < self.tol
+        mu, phi, psi = theta
+        res = _package(p, workers, estep, mu, phi, psi, gm1, mu_den, n_iter, converged)
+        res.extras["trace"] = pd.DataFrame(trace, columns=["objective", "max_dmu"])
+        return res
+
+
+def _extrapolate(t0: tuple, t1: tuple, t2: tuple) -> tuple:
+    """SQUAREM's S3 point from two EM maps t0 -> t1 -> t2 of (mu, phi, psi):
+    t0 - 2a r + a^2 v with a = min(-|r|/|v|, -1), halved toward -1 until
+    every entry is positive; a = -1 is t2 itself."""
+    r = [x1 - x0 for x0, x1 in zip(t0, t1) if x0 is not None]
+    v = [x2 - x1 - d for x1, x2, d in zip(t1, t2, r)]
+    v2 = sum(float((x * x).sum()) for x in v)
+    a = -1.0 if v2 == 0.0 else min(-np.sqrt(sum(float((x * x).sum()) for x in r) / v2), -1.0)
+    while a < -1.0:
+        out = [x0 - 2.0 * a * d + a * a * x for x0, d, x in zip(t0, r, v)]
+        if all((x > 0.0).all() for x in out):
+            return tuple(out) if len(out) == 3 else (*out, None)  # psi is None without answers
+        a = (a - 1.0) / 2.0
+    return t2
 
 
 # ----------------------------------------------------------------------
@@ -144,11 +226,11 @@ def _estep(block, mu: np.ndarray, phi: np.ndarray, psi: np.ndarray | None):
     restricted to the block's claims (claim indices from 0), ``wrk_rows``
     None without answers."""
     src, wrk = block
-    mu_num, g_src = _side_estep(src, phi, mu)
+    mu_num, g_src, ll_src = _side_estep(src, phi, mu)
     if wrk is None:
-        return mu_num, g_src, np.zeros((0, 3))
-    mu_wrk, g_wrk = _side_estep(wrk, psi, mu)
-    return mu_num + mu_wrk, g_src, g_wrk
+        return mu_num, g_src, np.zeros((0, 3)), ll_src
+    mu_wrk, g_wrk, ll_wrk = _side_estep(wrk, psi, mu)
+    return mu_num + mu_wrk, g_src, g_wrk, ll_src + ll_wrk
 
 
 def _side_estep(rows, param: np.ndarray, mu: np.ndarray):
@@ -161,9 +243,10 @@ def _side_estep(rows, param: np.ndarray, mu: np.ndarray):
     w = param.take(ar)
     w *= coef
     w *= mu.take(cand)
-    f = w / np.bincount(row, w)[row]
+    norm = np.bincount(row, w)  # P(claim | mu, param)
+    f = w / norm[row]
     g = np.bincount(ar, f, minlength=param.size).reshape(-1, 3)
-    return np.bincount(cand, f, minlength=len(mu)), g
+    return np.bincount(cand, f, minlength=len(mu)), g, float(np.log(norm).sum())
 
 
 def _add(a: tuple, b: tuple) -> tuple:

@@ -21,6 +21,7 @@ All output frames are sorted and deterministic in ``seed``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,43 +57,74 @@ def _sample_profiles(
     return np.asarray(out)
 
 
+def _cdf(p) -> list[float]:
+    """The cdf ``rng.choice(len(p), p=p)`` searches, as Python floats."""
+    c = np.cumsum(p, axis=-1)
+    return (c / c[..., -1:]).tolist()
+
+
+def _pick(rng: np.random.Generator, cdf: list[float]) -> int:
+    """``rng.choice(len(cdf), p=p)`` for the ``cdf`` of ``p``: the same one
+    ``rng.random()`` draw and the same right-sided search."""
+    return bisect_right(cdf, rng.random())
+
+
+def _other(rng: np.random.Generator, pool: list[str], v: str) -> str | None:
+    """A uniform draw from the sorted ``pool`` without ``v`` (None if that
+    leaves nothing): the same ``rng.integers`` draw as indexing a copy of
+    the pool without ``v``, by stepping over ``v``'s position instead."""
+    at = bisect_left(pool, v)
+    n = len(pool) - (at < len(pool) and pool[at] == v)
+    if not n:
+        return None
+    i = int(rng.integers(n))
+    return pool[i + (i >= at and n < len(pool))]
+
+
+def _pools(h: Hierarchy) -> dict[int, list[str]]:
+    """The sorted nodes at each depth, looked up once per dataset."""
+    return {d: h.nodes_at_depth(d) for d in range(h.height + 1)}
+
+
 def _truth_nodes(
-    rng: np.random.Generator, h: Hierarchy, n: int, depth_weights: dict[int, float]
+    rng: np.random.Generator, pools: dict[int, list[str]], n: int, depth_weights: dict[int, float]
 ) -> list[str]:
     """Sample ``n`` truth nodes, preferring deep (specific) values."""
-    depths = [d for d in depth_weights if h.nodes_at_depth(d)]
+    depths = [d for d in depth_weights if pools.get(d)]
     w = np.asarray([depth_weights[d] for d in depths], dtype=float)
-    w /= w.sum()
+    cdf = _cdf(w / w.sum())
     out = []
     for _ in range(n):
-        d = depths[rng.choice(len(depths), p=w)]
-        pool = h.nodes_at_depth(d)
+        pool = pools[depths[_pick(rng, cdf)]]
         out.append(pool[rng.integers(len(pool))])
     return out
 
 
-def _distractor(rng: np.random.Generator, h: Hierarchy, truth: str) -> str:
+def _distractor(rng: np.random.Generator, h: Hierarchy, pools: dict[int, list[str]], truth: str) -> str:
     """A correlated wrong value: prefer a sibling of the truth."""
     parent = h.parent(truth)
     sibs = [c for c in h.children(parent)] if parent is not None else []
     sibs = [c for c in sibs if c != truth]
     if sibs and rng.random() < 0.7:
         return sibs[rng.integers(len(sibs))]
-    pool = [x for x in h.nodes_at_depth(h.depth(truth)) if x != truth]
-    if not pool:
+    v = _other(rng, pools[h.depth(truth)], truth)
+    if v is None:
         pool = [x for x in h.nodes if x != truth and x != h.root and h.depth(x) >= 1]
-    return pool[rng.integers(len(pool))]
+        v = pool[rng.integers(len(pool))]
+    return v
 
 
 def _claim(
     rng: np.random.Generator,
     h: Hierarchy,
+    pools: dict[int, list[str]],
     truth: str,
     distractor: str,
-    phi: np.ndarray,
+    cdf: list[float],
 ) -> str:
-    """Draw one claimed value from the paper's three-case source model."""
-    case = rng.choice(3, p=phi)
+    """Draw one claimed value from the paper's three-case source model;
+    ``cdf`` is the source's (phi1, phi2, phi3) as :func:`_cdf`."""
+    case = _pick(rng, cdf)
     if case == 0:
         return truth
     if case == 1:
@@ -106,10 +138,7 @@ def _claim(
     # and confidently-wrong consensus objects are rare.
     v = distractor
     if rng.random() >= 0.35:
-        pool = h.nodes_at_depth(min(h.depth(truth), h.height))
-        pool = [x for x in pool if x != truth]
-        if pool:
-            v = pool[rng.integers(len(pool))]
+        v = _other(rng, pools[min(h.depth(truth), h.height)], truth) or v
     if rng.random() < 0.3:
         anc = h.ancestors(v)
         if anc:
@@ -158,12 +187,14 @@ def birthplaces_lite(*, sf: float = 0.01, seed: int = 0) -> TruthDataset:
         + [(0.60, 0.10, 0.30)] * 2  # sloppy
     )
     profiles = _sample_profiles(rng, kinds)
+    cdfs = _cdf(profiles)
+    pools = _pools(h)
     sources = [f"s{i}" for i in range(n_src)]
-    truths = _truth_nodes(rng, h, n_obj, {3: 0.15, 4: 0.25, 5: 0.60})
+    truths = _truth_nodes(rng, pools, n_obj, {3: 0.15, 4: 0.25, 5: 0.60})
     rows: list[tuple[str, str, str]] = []
     for i, t in enumerate(truths):
         o = f"o{i}"
-        d = _distractor(rng, h, t)
+        d = _distractor(rng, h, pools, t)
         # popularity skew: famous objects are covered by most sources,
         # the long tail by one or two (matches real crawls, and it is the
         # regime where EAI's claim-count damping matters — §4.1)
@@ -177,7 +208,7 @@ def birthplaces_lite(*, sf: float = 0.01, seed: int = 0) -> TruthDataset:
             if j not in claim_srcs:
                 claim_srcs.append(j)
         for j in claim_srcs:
-            rows.append((o, sources[j], _claim(rng, h, t, d, profiles[j])))
+            rows.append((o, sources[j], _claim(rng, h, pools, t, d, cdfs[j])))
     return _build("birthplaces_lite", rng, h, truths, rows, profiles, sources)
 
 
@@ -198,19 +229,21 @@ def heritages_lite(*, sf: float = 0.01, seed: int = 1) -> TruthDataset:
         else:
             kinds.append((0.46, 0.10, 0.44))  # sloppy
     profiles = _sample_profiles(rng, kinds)
+    cdfs = _cdf(profiles)
+    pools = _pools(h)
     sources = [f"s{i}" for i in range(n_src)]
     src_w = 1.0 / np.arange(1, n_src + 1) ** 0.8
     src_w /= src_w.sum()
-    truths = _truth_nodes(rng, h, n_obj, {3: 0.10, 4: 0.20, 5: 0.30, 6: 0.40})
+    truths = _truth_nodes(rng, pools, n_obj, {3: 0.10, 4: 0.20, 5: 0.30, 6: 0.40})
     rows: list[tuple[str, str, str]] = []
     for i, t in enumerate(truths):
         o = f"o{i}"
-        d = _distractor(rng, h, t)
+        d = _distractor(rng, h, pools, t)
         # famous heritage sites attract many more claims than obscure ones
         lam = 15.0 if rng.random() < 0.15 else 4.0
         k = max(2, int(rng.poisson(lam)))
         k = min(k, n_src)
         claim_srcs = rng.choice(n_src, size=k, replace=False, p=src_w)
         for j in claim_srcs:
-            rows.append((o, sources[j], _claim(rng, h, t, d, profiles[j])))
+            rows.append((o, sources[j], _claim(rng, h, pools, t, d, cdfs[j])))
     return _build("heritages_lite", rng, h, truths, rows, profiles, sources)

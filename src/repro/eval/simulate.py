@@ -41,19 +41,26 @@ from repro.datagen.truthdata import TruthDataset
 from repro.datagen.workers import SimulatedWorker, simulate_workers
 from repro.eval import metrics as M
 
+
+def _cold(fit: Callable) -> Callable:
+    """An inference without a warm start, in the registry's signature."""
+    return lambda answers, previous: fit(answers)
+
+
 # name -> (dataset, its compiled problem, its ancestor pairs) -> the run's
-# fit, answers (or None) -> InferenceResult.
+# fit, (answers or None, the previous round's result or None) ->
+# InferenceResult. TDH starts EM from the previous round's fit.
 INFERENCE: dict[str, Callable] = {
     "TDH": lambda ds, p, anc: partial(TDH(max_iter=60).fit_problem, p),
-    "VOTE": lambda ds, p, anc: partial(vote, ds.records),
-    "LCA": lambda ds, p, anc: partial(lca, ds.records),
-    "DOCS": lambda ds, p, anc: partial(docs, ds.records, hierarchy=ds.hierarchy),
-    "ACCU": lambda ds, p, anc: partial(accu, ds.records, max_iter=6),
-    "POPACCU": lambda ds, p, anc: partial(popaccu, ds.records, max_iter=6),
-    "ASUMS": lambda ds, p, anc: partial(asums, ds.records, anc_pairs=anc, hierarchy=ds.hierarchy),
-    "CRH": lambda ds, p, anc: partial(crh, ds.records),
-    "MDC": lambda ds, p, anc: partial(mdc, ds.records),
-    "LFC": lambda ds, p, anc: partial(lfc, ds.records),
+    "VOTE": lambda ds, p, anc: _cold(partial(vote, ds.records)),
+    "LCA": lambda ds, p, anc: _cold(partial(lca, ds.records)),
+    "DOCS": lambda ds, p, anc: _cold(partial(docs, ds.records, hierarchy=ds.hierarchy)),
+    "ACCU": lambda ds, p, anc: _cold(partial(accu, ds.records, max_iter=6)),
+    "POPACCU": lambda ds, p, anc: _cold(partial(popaccu, ds.records, max_iter=6)),
+    "ASUMS": lambda ds, p, anc: _cold(partial(asums, ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)),
+    "CRH": lambda ds, p, anc: _cold(partial(crh, ds.records)),
+    "MDC": lambda ds, p, anc: _cold(partial(mdc, ds.records)),
+    "LFC": lambda ds, p, anc: _cold(partial(lfc, ds.records)),
 }
 ASSIGNERS = {
     "EAI": eai_assign,
@@ -81,9 +88,17 @@ FEASIBLE = {
 class RoundLog:
     """Per-round metrics of one crowdsourcing run."""
 
-    history: pd.DataFrame  # round, accuracy, gen_accuracy, avg_distance, n_answers
+    # round, accuracy, gen_accuracy, avg_distance, n_answers, and the
+    # inference's n_iter and converged (None for baselines, which report
+    # neither)
+    history: pd.DataFrame
     final: InferenceResult
     answers: pd.DataFrame
+
+
+def _em_state(res: InferenceResult) -> tuple:
+    """A fit's EM iterations and whether it converged (None if unreported)."""
+    return res.extras.get("n_iter"), res.extras.get("converged")
 
 
 def run_crowdsourcing(
@@ -116,8 +131,8 @@ def run_crowdsourcing(
     cands_by_obj = dict(zip(problem.objects, (v.tolist() for v in values)))
     answers = pd.DataFrame(columns=["object", "worker", "value"])
     by_id = {w.worker: w for w in workers}
-    res = infer(None)
-    history = [(0, *score(res.truths), 0)]
+    res = infer(None, None)
+    history = [(0, *score(res.truths), 0, *_em_state(res))]
     for r in range(1, rounds + 1):
         ctx = AssignContext(result=res, workers=list(by_id), k=k, answers=answers, rng=rng)
         new = [
@@ -128,7 +143,7 @@ def run_crowdsourcing(
         if new:
             new = pd.DataFrame(new, columns=answers.columns)
             answers = pd.concat([answers, new], ignore_index=True)
-        res = infer(answers if len(answers) else None)
-        history.append((r, *score(res.truths), len(answers)))
-    columns = ["round", "accuracy", "gen_accuracy", "avg_distance", "n_answers"]
+        res = infer(answers if len(answers) else None, res)
+        history.append((r, *score(res.truths), len(answers), *_em_state(res)))
+    columns = ["round", "accuracy", "gen_accuracy", "avg_distance", "n_answers", "n_iter", "converged"]
     return RoundLog(history=pd.DataFrame(history, columns=columns), final=res, answers=answers)

@@ -88,14 +88,17 @@ class TestLoop:
         assert len(log.history) == 2
 
 
-# The reference round loop: every round a from-scratch fit on the records and
-# the answers so far, scored by the per-object metrics functions.
+# The reference round loop: every round a fit that compiles the records and
+# the answers so far afresh, scored by the per-object metrics functions. TDH
+# starts EM from the previous round's fit, as the loop does.
 # run_crowdsourcing, which compiles once per run and scores by gathers, must
 # reproduce it exactly.
 REFERENCE_FITS = {
-    "TDH": lambda ds, anc, ans: TDH(max_iter=60).fit(ds.records, ans, anc),
-    "DOCS": lambda ds, anc, ans: docs(ds.records, ans, hierarchy=ds.hierarchy),
-    "VOTE": lambda ds, anc, ans: vote(ds.records, ans),
+    "TDH": lambda ds, anc, ans, prev: TDH(max_iter=60).fit_problem(
+        candidates.compile_problem(ds.records, anc), ans, prev
+    ),
+    "DOCS": lambda ds, anc, ans, prev: docs(ds.records, ans, hierarchy=ds.hierarchy),
+    "VOTE": lambda ds, anc, ans, prev: vote(ds.records, ans),
 }
 
 
@@ -119,10 +122,12 @@ def reference_loop(ds, infer, assign, rounds, n_workers, k, seed):
                 "gen_accuracy": M.gen_accuracy(res.truths, gold, ds.hierarchy),
                 "avg_distance": M.avg_distance(res.truths, gold, ds.hierarchy),
                 "n_answers": len(answers),
+                "n_iter": res.extras.get("n_iter"),
+                "converged": res.extras.get("converged"),
             }
         )
 
-    res = fit(ds, anc, None)
+    res = fit(ds, anc, None, None)
     log_round(0, res)
     for r in range(1, rounds + 1):
         ctx = AssignContext(result=res, workers=list(by_id), k=k, answers=answers, rng=rng)
@@ -134,9 +139,9 @@ def reference_loop(ds, infer, assign, rounds, n_workers, k, seed):
         if new:
             new = pd.DataFrame(new, columns=["object", "worker", "value"])
             answers = pd.concat([answers, new], ignore_index=True)
-        res = fit(ds, anc, answers if len(answers) else None)
+        res = fit(ds, anc, answers if len(answers) else None, res)
         log_round(r, res)
-    return pd.DataFrame(history), answers, anc
+    return pd.DataFrame(history), answers, anc, res
 
 
 FINAL_FIELDS = ("truths", "mu", "phi", "psi", "N", "D", "worker_accuracy")
@@ -149,13 +154,23 @@ FINAL_FIELDS = ("truths", "mu", "phi", "psi", "N", "D", "worker_accuracy")
 def test_loop_equals_a_from_scratch_fit_every_round(ds, infer, assign):
     kw = dict(rounds=4, n_workers=4, k=3, seed=5)
     log = run_crowdsourcing(ds, infer, assign, **kw)
-    history, answers, anc = reference_loop(ds, infer, assign, **kw)
+    history, answers, anc, final = reference_loop(ds, infer, assign, **kw)
     assert log.history.equals(history)
     assert log.answers.equals(answers)
-    fresh = REFERENCE_FITS[infer](ds, anc, log.answers)
     for name in FINAL_FIELDS:
-        got, want = getattr(log.final, name), getattr(fresh, name)
+        got, want = getattr(log.final, name), getattr(final, name)
         assert (got is None and want is None) or got.equals(want), name
+
+
+def test_warm_started_fit_reaches_the_cold_fit(ds):
+    """The loop's last fit, started from the round before, and a cold fit
+    on the same answers both converge to the same point."""
+    log = run_crowdsourcing(ds, "TDH", "EAI", rounds=4, n_workers=4, k=3, seed=5)
+    anc = hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+    cold = TDH(max_iter=60).fit(ds.records, log.answers, anc)
+    assert log.history["converged"].all() and cold.extras["converged"]
+    assert log.final.truths.equals(cold.truths)
+    assert np.abs(log.final.mu["mu"] - cold.mu["mu"]).max() < 1e-5
 
 
 def _count_compiles(monkeypatch) -> list:

@@ -12,7 +12,7 @@ from repro.core.candidates import (
     side_rows,
 )
 from repro.core.result import argmax_truths
-from repro.core.tdh_local import TDH, _side_estep, initial_mu
+from repro.core.tdh_local import TDH, _extrapolate, _side_estep, initial_mu
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
@@ -199,14 +199,14 @@ def test_fused_estep_equals_per_relationship_sums():
 
 
 
-def _answers_on(p, n_workers, seed):
-    """``n_workers`` workers answering the first 12 objects of ``p`` at random."""
+def _answers_on(p, n_workers, seed, n_objects=12):
+    """``n_workers`` workers answering the first ``n_objects`` objects of ``p`` at random."""
     rng = np.random.default_rng(seed)
     return pd.DataFrame(
         [
             (p.objects[o], f"w{w}", p.cand["value"][p.start[o] + rng.integers(p.nV[o])])
             for w in range(n_workers)
-            for o in range(12)
+            for o in range(n_objects)
         ],
         columns=["object", "worker", "value"],
     )
@@ -252,6 +252,104 @@ class TestCompiledOnce:
                     a, b = getattr(got, name), getattr(fresh, name)
                     assert (a is None and b is None) or a.equals(b), name
                 assert got.extras["n_iter"] == fresh.extras["n_iter"]
+
+
+class TestSquarem:
+    """The safeguarded SQUAREM loop of ``TDH._em`` and its warm start."""
+
+    @pytest.fixture(scope="class")
+    def bp(self):
+        ds = birthplaces_lite(sf=0.02, seed=0)
+        anc = hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+        return ds, anc, compile_problem(ds.records, anc)
+
+    @pytest.mark.parametrize("with_answers", [False, True], ids=["sources", "answers"])
+    def test_objective_never_decreases(self, bp, with_answers):
+        """Every E-step the trace keeps sees an objective no lower than the
+        last. Five random workers on 30 objects make some extrapolations
+        worse than plain EM, so the fallback to theta2 is exercised."""
+        ds, anc, p = bp
+        answers = _answers_on(p, 5, 1, n_objects=30) if with_answers else None
+        res = TDH().fit(ds.records, answers, anc)
+        trace = res.extras["trace"]
+        assert res.extras["converged"]
+        assert (np.diff(trace["objective"]) >= 0).all()
+        assert trace["max_dmu"].iloc[-1] < TDH().tol <= trace["max_dmu"].iloc[:-1].min()
+        if with_answers:  # some extrapolations were discarded
+            assert res.extras["n_iter"] > len(trace)
+
+    def test_objective_is_the_map_objective(self, bp):
+        """The first trace entry is the log-likelihood of every claim plus
+        the Dirichlet log-priors at EM's starting point, computed here per
+        relationship from the expanded rows."""
+        ds, anc, p = bp
+        answers = _answers_on(p, 3, 0)
+        tdh = TDH()
+        workers = code_answers(p, answers)
+        mu, phi, psi = tdh._start(p, workers, None)
+        want = (tdh.gamma - 1) * np.log(mu).sum()
+        want += (np.log(phi) @ (tdh.alpha - 1)).sum() + (np.log(psi) @ (tdh.beta - 1)).sum()
+        for claims, param, popularity in ((p.sources, phi, False), (workers, psi, True)):
+            row, cand, rel, coef = expand(p, claims.cid, popularity)
+            w = param[claims.agent[row], rel - 1] * coef * mu[cand]
+            want += np.log(np.bincount(row, w)).sum()
+        got = tdh.fit(ds.records, answers, anc).extras["trace"]["objective"].iloc[0]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_plain_em_when_capped_at_two(self, bp):
+        """Two E-steps are two plain EM maps: no extrapolation yet."""
+        ds, anc, p = bp
+        res = TDH(max_iter=2).fit(ds.records, None, anc)
+        one = TDH(max_iter=1).fit_problem(p, None)
+        again = TDH(max_iter=1).fit_problem(p, None, start=one)
+        assert res.mu.equals(again.mu) and res.phi.equals(again.phi)
+        assert list(res.extras["trace"]["objective"]) == [
+            one.extras["trace"]["objective"].iloc[0],
+            again.extras["trace"]["objective"].iloc[0],
+        ]
+
+    def test_extrapolation_stays_inside_the_simplices(self):
+        """S3's full step leaves the simplex here (mu would go below 0);
+        the step is halved toward -1 until it is inside, not dropped."""
+        phi = np.array([[0.5, 0.3, 0.2]])
+        t0 = (np.array([0.5, 0.5]), phi, None)
+        t1 = (np.array([0.1, 0.9]), phi, None)
+        t2 = (np.array([0.01, 0.99]), phi, None)
+        r, v = t1[0] - t0[0], t2[0] - 2 * t1[0] + t0[0]
+        a = -np.linalg.norm(r) / np.linalg.norm(v)
+        assert (t0[0] - 2 * a * r + a * a * v).min() < 0
+        mu, got_phi, psi = _extrapolate(t0, t1, t2)
+        assert psi is None and np.array_equal(got_phi, phi)
+        assert (mu > 0).all() and mu.sum() == pytest.approx(1.0)
+        assert mu[0] < t2[0][0]  # beyond theta2, not the fallback to it
+
+    def test_short_step_is_theta2(self):
+        """With |r| <= |v| the step length is -1, which is theta2 itself."""
+        t0 = (np.array([0.5, 0.5]), np.array([[0.5, 0.3, 0.2]]), np.array([[0.6, 0.2, 0.2]]))
+        t1 = (np.array([0.4, 0.6]), t0[1], t0[2])
+        t2 = (np.array([0.5, 0.5]), t0[1], t0[2])
+        assert _extrapolate(t0, t1, t2) is t2
+
+    def test_warm_start_reuses_psi_by_worker(self, bp):
+        """A warm start keeps each known worker's psi and starts a worker
+        new to the fit at the prior mean; mu and phi are the start's."""
+        ds, anc, p = bp
+        tdh = TDH()
+        prev = tdh.fit_problem(p, _answers_on(p, 3, 0))
+        workers = code_answers(p, _answers_on(p, 5, 1))
+        mu, phi, psi = tdh._start(p, workers, prev)
+        assert np.array_equal(mu, prev.mu["mu"]) and np.array_equal(phi, prev.phi[["phi1", "phi2", "phi3"]])
+        assert np.array_equal(psi[:3], prev.psi[["psi1", "psi2", "psi3"]])
+        assert np.array_equal(psi[3:], np.tile(tdh.beta / tdh.beta.sum(), (2, 1)))
+
+    def test_warm_start_on_other_records_rejected(self, bp):
+        ds, anc, p = bp
+        other = birthplaces_lite(sf=0.01, seed=0)
+        start = TDH(max_iter=2).fit(
+            other.records, None, hierarchical_ancestor_pairs(candidate_sets(other.records), other.hierarchy)
+        )
+        with pytest.raises(ValueError, match="other records"):
+            TDH().fit_problem(p, None, start)
 
 
 class TestWorkerSide:

@@ -122,6 +122,9 @@ class TestSparkLocalEquivalence:
         loc, sp = fits25
         assert sp.extras["converged"] == loc.extras["converged"]
         assert sp.extras["n_iter"] == loc.extras["n_iter"]
+        a, b = loc.extras["trace"], sp.extras["trace"]
+        assert a.shape == b.shape
+        assert np.abs(a.to_numpy() - b.to_numpy()).max() < 1e-9
 
 
 _NY_USA = [("o1", "s1", "NY"), ("o1", "s2", "USA")]
