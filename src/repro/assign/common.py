@@ -34,7 +34,8 @@ class AssignContext:
     """Everything an assigner may need for one round.
 
     Built from ``result.mu``, whose rows must be in strictly increasing
-    (object, value) order:
+    (object, value) order; a TDH fit's layout is read from its compiled
+    problem instead, whose cids its ``mu`` rows already are:
 
     * ``objects`` (sorted ids; position = object code), ``start`` and
       ``nV`` (first row and candidate count of each object) and ``mu``;
@@ -54,19 +55,28 @@ class AssignContext:
 
     def __post_init__(self):
         mu = self.result.mu
-        obj, val = mu["object"].to_numpy(), mu["value"].to_numpy()
-        new = obj[1:] != obj[:-1]
-        if not ((obj[1:] >= obj[:-1]).all() and (val[1:][~new] > val[:-1][~new]).all()):
-            raise ValueError("result.mu rows must be in strictly increasing (object, value) order")
-        self.start = np.flatnonzero(np.r_[True, new])
-        self.nV = np.diff(np.r_[self.start, len(obj)])
-        self.objects: list[str] = obj[self.start].tolist()
+        self.problem = p = self.result.extras.get("problem")
+        self.N = self.D = None
+        if p is not None:  # a TDH fit: the mu rows are the problem's cids
+            self.objects, self.start, self.nV = p.objects, p.start, p.nV.astype(np.int64)
+            self.N = self.result.N["N"].to_numpy(dtype=float)
+            self.D = self.result.D["D"].to_numpy(dtype=float)
+            object_index = p.index.levels[0]
+        else:
+            obj, val = mu["object"].to_numpy(), mu["value"].to_numpy()
+            new = obj[1:] != obj[:-1]
+            if not ((obj[1:] >= obj[:-1]).all() and (val[1:][~new] > val[:-1][~new]).all()):
+                raise ValueError("result.mu rows must be in strictly increasing (object, value) order")
+            self.start = np.flatnonzero(np.r_[True, new])
+            self.nV = np.diff(np.r_[self.start, len(obj)])
+            self.objects: list[str] = obj[self.start].tolist()
+            object_index = pd.Index(self.objects)
         self.mu = mu["mu"].to_numpy(dtype=float)
         self.psi = self._per_worker(self.result.psi, ["psi1", "psi2", "psi3"], 1 / 3)
         self.acc = self._per_worker(self.result.worker_accuracy, ["acc"], 0.7)[:, 0]
         self.answered = np.zeros((len(self.workers), len(self.objects)), dtype=bool)
         if self.answers is not None and len(self.answers):
-            i = pd.Index(self.objects).get_indexer(self.answers["object"])
+            i = object_index.get_indexer(self.answers["object"])
             if (i < 0).any():
                 raise ValueError(
                     f"answer on object {self.answers['object'].iloc[np.argmax(i < 0)]!r}, "
@@ -74,11 +84,6 @@ class AssignContext:
                 )
             j = pd.Index(self.workers).get_indexer(self.answers["worker"])
             self.answered[j[j >= 0], i[j >= 0]] = True
-        self.problem = self.result.extras.get("problem")
-        self.N = self.D = None
-        if self.problem is not None:
-            self.N = self.result.N["N"].to_numpy(dtype=float)
-            self.D = self.result.D["D"].to_numpy(dtype=float)
         self._eai = None  # the round's EAI table, filled by repro.assign.eai
 
     def _per_worker(self, frame: pd.DataFrame | None, cols: list[str], default: float) -> np.ndarray:
@@ -86,7 +91,7 @@ class AssignContext:
         out = np.full((len(self.workers), len(cols)), default)
         if frame is not None:
             at = pd.Index(frame["worker"]).get_indexer(self.workers)
-            out[at >= 0] = frame[cols].to_numpy(dtype=float)[at[at >= 0]]
+            out[at >= 0] = np.stack([frame[c].to_numpy(dtype=float) for c in cols], axis=1)[at[at >= 0]]
         return out
 
     @cached_property
@@ -129,8 +134,12 @@ def top_k(
     out: dict[str, list[str]] = {}
     for j in order:
         cand = np.flatnonzero(free[j])
+        q = Q[j, cand]
+        if 0 < ctx.k < len(cand):  # only scores at or above the k-th best can be picked
+            top = q >= np.partition(q, len(q) - ctx.k)[len(q) - ctx.k]
+            cand, q = cand[top], q[top]
         keys = (cand,) if then is None else (cand, -then[cand])
-        best = cand[np.lexsort((*keys, -Q[j, cand]))[: ctx.k]]
+        best = cand[np.lexsort((*keys, -q))[: ctx.k]]
         if exclusive:
             free[:, best] = False
         out[ctx.workers[j]] = [ctx.objects[i] for i in best]

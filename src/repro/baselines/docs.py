@@ -15,26 +15,25 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.claims import ClaimLayout, one_coin
+from repro.core.candidates import code_candidates
 from repro.core.result import InferenceResult
 from repro.hierarchy import Hierarchy
 
 
 def object_domains(records: pd.DataFrame, hierarchy: Hierarchy) -> dict[str, str]:
-    """Domain per object: depth-1 ancestor of the plurality claimed value."""
-
-    def top(v: str) -> str:
-        if v not in hierarchy or v == hierarchy.root:
-            return "_other"
-        while hierarchy.depth(v) > 1:
-            v = hierarchy.parent(v)  # type: ignore[assignment]
-        return v
-
-    counts = (
-        records.groupby(["object", "value"]).size().rename("n").reset_index()
-        .sort_values(["object", "n", "value"], ascending=[True, False, True])
+    """Domain per object: depth-1 ancestor of the plurality claimed value
+    (the smallest on ties), looked up once per distinct value."""
+    _, objects, values, keys, cid = code_candidates(records)
+    o, v = np.divmod(keys, len(values))
+    order = np.lexsort((v, -np.bincount(cid), o))  # by object, then most claimed, then value
+    plural = v[order[np.r_[True, o[order][1:] != o[order][:-1]]]]
+    distinct, at = np.unique(plural, return_inverse=True)
+    top = np.array(
+        [[x, *hierarchy.ancestors(x)][-1] if x in hierarchy and x != hierarchy.root else "_other"
+         for x in values.take(distinct)],
+        dtype=object,
     )
-    plural = counts.groupby("object").head(1)
-    return {o: top(v) for o, v in zip(plural["object"], plural["value"])}
+    return dict(zip(objects, top[at]))
 
 
 def domain_agents(layout: ClaimLayout, domains: dict[str, str]):
@@ -43,7 +42,9 @@ def domain_agents(layout: ClaimLayout, domains: dict[str, str]):
     Returns each agent's source code and domain name, and each claim's
     agent code.
     """
-    dom, dom_names = pd.factorize(layout.claims["object"].map(domains), sort=True)
+    p = layout.problem
+    dom, dom_names = pd.factorize(pd.Series([domains.get(o) for o in p.objects], dtype=object), sort=True)
+    dom = dom[p.obj_of_cand[layout.cid]]
     pairs, agent = np.unique(layout.src * len(dom_names) + dom, return_inverse=True)
     src_of, dom_of = np.divmod(pairs, len(dom_names))
     return src_of, list(dom_names.take(dom_of)), agent

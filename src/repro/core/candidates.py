@@ -39,34 +39,46 @@ from repro.hierarchy.numeric import numeric_ancestor_pairs
 
 def candidate_sets(records: pd.DataFrame) -> pd.DataFrame:
     """Distinct (object, value) pairs, sorted — the candidate sets ``V_o``."""
-    return (
-        records[["object", "value"]]
-        .drop_duplicates()
-        .sort_values(["object", "value"])
-        .reset_index(drop=True)
-    )
+    _, objects, values, keys, _ = code_candidates(records)
+    return _names(objects, values, keys)
 
 
-def hierarchical_ancestor_pairs(
-    candidates: pd.DataFrame, hierarchy: Hierarchy
-) -> pd.DataFrame:
-    """(object, value, anc) rows with ``anc ∈ G_o(value)``.
+def hierarchical_ancestor_pairs(candidates: pd.DataFrame, hierarchy: Hierarchy) -> pd.DataFrame:
+    """(object, value, anc) rows with ``anc ∈ G_o(value)``, sorted.
 
     Both endpoints must be candidates of the same object; the hierarchy
-    root never appears (the paper excludes it from ``G_o``).
+    root never appears (the paper excludes it from ``G_o``). Closure pairs
+    are matched to the candidates by ``searchsorted`` on coded keys.
     """
-    closure = hierarchy.closure_pdf()  # (desc, anc), root excluded already
-    if closure.empty or candidates.empty:
+    closure = hierarchy.closure()  # (desc, anc), root excluded already
+    if not closure or candidates.empty:
         return pd.DataFrame(columns=["object", "value", "anc"])
-    pairs = candidates.merge(closure, left_on="value", right_on="desc")
-    pairs = pairs.merge(
-        candidates.rename(columns={"value": "anc"}), on=["object", "anc"]
-    )
-    return (
-        pairs[["object", "value", "anc"]]
-        .sort_values(["object", "value", "anc"])
-        .reset_index(drop=True)
-    )
+    _, objects, values, keys, _ = code_candidates(candidates)
+    n = len(values)
+    desc, anc = (values.get_indexer(list(side)) for side in zip(*closure))
+    known = (desc >= 0) & (anc >= 0)
+    link = np.unique(desc[known] * n + anc[known])
+    lo, hi = (np.searchsorted(link, (keys % n + d) * n) for d in (0, 1))
+    row, at = ranges(lo, hi - lo)  # candidate, then each ancestor of its value
+    up = link[at] % n
+    hit = _lookup(keys, n, keys[row] // n, up) >= 0
+    return _names(objects, values, keys[row[hit]]).assign(anc=values.take(up[hit]))
+
+
+def code_candidates(claims: pd.DataFrame):
+    """Each claim's object code, the sorted object and value names, the
+    sorted distinct keys ``object code · |values| + value code`` and each
+    claim's cid (its key's position)."""
+    obj, objects = pd.factorize(claims["object"], sort=True)
+    val, values = pd.factorize(claims["value"], sort=True)
+    keys, cid = np.unique(obj * len(values) + val, return_inverse=True)
+    return obj, objects, values, keys, cid
+
+
+def _names(objects: pd.Index, values: pd.Index, keys: np.ndarray) -> pd.DataFrame:
+    """The (object, value) names of candidate keys."""
+    obj, val = np.divmod(keys, len(values))
+    return pd.DataFrame({"object": objects.take(obj), "value": values.take(val)})
 
 
 def numeric_ancestor_pairs_df(candidates: pd.DataFrame) -> pd.DataFrame:
@@ -143,9 +155,7 @@ def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
     Raises ``ValueError`` on a repeated (object, source) pair and on an
     ancestor pair whose endpoints are not candidates of its object.
     """
-    obj, objects = pd.factorize(records["object"], sort=True)
-    val, values = pd.factorize(records["value"], sort=True)
-    keys, rec_cid = np.unique(obj * len(values) + val, return_inverse=True)
+    obj, objects, values, keys, rec_cid = code_candidates(records)
     obj_of_cand, val_of_cand = np.divmod(keys, len(values))
     index = pd.MultiIndex(
         levels=[objects, values], codes=[obj_of_cand, val_of_cand], names=["object", "value"]
@@ -168,7 +178,7 @@ def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
     sources = _code(records, "source", obj, rec_cid)
     cnt = np.bincount(sources.cid, minlength=n_cand).astype(float)
     return Problem(
-        cand=pd.DataFrame({"object": objects.take(obj_of_cand), "value": values.take(val_of_cand)}),
+        cand=_names(objects, values, keys),
         index=index,
         objects=list(objects),
         obj_of_cand=obj_of_cand,

@@ -56,7 +56,7 @@ class TDH:
         alpha: tuple[float, float, float] = (3.0, 3.0, 2.0),
         beta: tuple[float, float, float] = (2.0, 2.0, 2.0),
         gamma: float = 2.0,
-        max_iter: int = 100,
+        max_iter: int = 200,
         tol: float = 1e-7,
     ):
         self.alpha = np.asarray(alpha, dtype=float)
@@ -110,7 +110,7 @@ class TDH:
             phi = np.tile(self.alpha / self.alpha.sum(), (len(p.sources.agents), 1))
         else:
             mu = start.mu["mu"].to_numpy(dtype=float)
-            phi = start.phi[["phi1", "phi2", "phi3"]].to_numpy(dtype=float)
+            phi = np.stack([start.phi[f"phi{r}"] for r in (1, 2, 3)], axis=1)
             if len(mu) != len(p.cand) or list(start.phi["source"]) != p.sources.agents:
                 raise ValueError("start is a fit on other records")
         if workers is not None:
@@ -118,7 +118,7 @@ class TDH:
             if start is not None and start.psi is not None:
                 at = pd.Index(start.psi["worker"]).get_indexer(workers.agents)
                 known = at >= 0
-                psi[known] = start.psi[["psi1", "psi2", "psi3"]].to_numpy()[at[known]]
+                psi[known] = np.stack([start.psi[f"psi{r}"] for r in (1, 2, 3)], axis=1)[at[known]]
         return mu, phi, psi
 
     def _em(
@@ -268,22 +268,19 @@ def _package(
 ) -> InferenceResult:
     # Eq. (9) numerator/denominator, cached for the EAI incremental EM.
     N = estep(mu, phi, psi)[0] + gm1
-    mu_df = p.cand.assign(mu=mu)
-    phi_df = pd.DataFrame(phi, columns=["phi1", "phi2", "phi3"])
-    phi_df.insert(0, "source", p.sources.agents)
-    psi_df = None
-    wacc = None
+    # the problem's name columns, shared (not copied) by mu, N, D and truths
+    obj, val, objects = p.cand["object"], p.cand["value"], p.index.levels[0].to_numpy()
+    psi_df = wacc = None
     if psi is not None:
-        psi_df = pd.DataFrame(psi, columns=["psi1", "psi2", "psi3"])
-        psi_df.insert(0, "worker", workers.agents)
+        psi_df = pd.DataFrame({"worker": workers.agents, **{f"psi{r}": psi[:, r - 1] for r in (1, 2, 3)}})
         wacc = pd.DataFrame({"worker": workers.agents, "acc": psi[:, 0]})
     return InferenceResult(
-        truths=p.cand.take(argmax_cids(p, mu)).reset_index(drop=True),
-        mu=mu_df,
-        phi=phi_df,
+        truths=pd.DataFrame({"object": objects, "value": val.to_numpy()[argmax_cids(p, mu)]}, copy=False),
+        mu=pd.DataFrame({"object": obj, "value": val, "mu": mu}, copy=False),
+        phi=pd.DataFrame({"source": p.sources.agents, **{f"phi{r}": phi[:, r - 1] for r in (1, 2, 3)}}),
         psi=psi_df,
-        N=p.cand.assign(N=N),
-        D=pd.DataFrame({"object": p.objects, "D": mu_den}),
+        N=pd.DataFrame({"object": obj, "value": val, "N": N}, copy=False),
+        D=pd.DataFrame({"object": objects, "D": mu_den}, copy=False),
         worker_accuracy=wacc,
         extras={"n_iter": n_iter, "converged": converged, "problem": p},
     )

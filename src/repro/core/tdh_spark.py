@@ -51,7 +51,7 @@ class TDHSpark(TDH):
         alpha: tuple[float, float, float] = (3.0, 3.0, 2.0),
         beta: tuple[float, float, float] = (2.0, 2.0, 2.0),
         gamma: float = 2.0,
-        max_iter: int = 100,
+        max_iter: int = 200,
         tol: float = 1e-7,
     ):
         super().__init__(alpha, beta, gamma, max_iter, tol)

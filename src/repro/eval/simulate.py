@@ -17,6 +17,7 @@ every algorithm).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -40,6 +41,9 @@ from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import TruthDataset
 from repro.datagen.workers import SimulatedWorker, simulate_workers
 from repro.eval import metrics as M
+
+
+_now = time.perf_counter
 
 
 def _cold(fit: Callable) -> Callable:
@@ -94,6 +98,9 @@ class RoundLog:
     history: pd.DataFrame
     final: InferenceResult
     answers: pd.DataFrame
+    # round, then the seconds of its stages in loop order (round 0 only fits
+    # and scores); kept out of ``history``, which repeated runs reproduce
+    timings: pd.DataFrame
 
 
 def _em_state(res: InferenceResult) -> tuple:
@@ -127,23 +134,34 @@ def run_crowdsourcing(
     gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
     score = M.gold_scorer(problem, gold, ds.hierarchy)
     gold_cand = dict(zip(gold["object"], gold["truth"]))
-    values = np.split(problem.cand["value"].to_numpy(), problem.start[1:])
-    cands_by_obj = dict(zip(problem.objects, (v.tolist() for v in values)))
+    values, nV = problem.cand["value"].to_numpy(), problem.nV.astype(np.int64)
     answers = pd.DataFrame(columns=["object", "worker", "value"])
     by_id = {w.worker: w for w in workers}
+    t = [_now()]
     res = infer(None, None)
+    t.append(_now())
     history = [(0, *score(res.truths), 0, *_em_state(res))]
+    timings = [(0, 0.0, 0.0, 0.0, t[1] - t[0], _now() - t[1])]
     for r in range(1, rounds + 1):
+        t = [_now()]
         ctx = AssignContext(result=res, workers=list(by_id), k=k, answers=answers, rng=rng)
+        t.append(_now())
+        asked = [(o, w) for w, objs in assigner(ctx).items() for o in objs]
+        t.append(_now())
+        at = problem.index.levels[0].get_indexer([o for o, _ in asked])
         new = [
-            (o, w, by_id[w].answer(rng, cands_by_obj[o], gold_cand.get(o, "")))
-            for w, objs in assigner(ctx).items()
-            for o in objs
+            (o, w, by_id[w].answer(rng, values[s : s + n].tolist(), gold_cand.get(o, "")))
+            for (o, w), s, n in zip(asked, problem.start[at], nV[at])
         ]
         if new:
             new = pd.DataFrame(new, columns=answers.columns)
             answers = pd.concat([answers, new], ignore_index=True)
+        t.append(_now())
         res = infer(answers if len(answers) else None, res)
+        t.append(_now())
         history.append((r, *score(res.truths), len(answers), *_em_state(res)))
+        t.append(_now())
+        timings.append((r, *np.diff(t)))
     columns = ["round", "accuracy", "gen_accuracy", "avg_distance", "n_answers", "n_iter", "converged"]
-    return RoundLog(history=pd.DataFrame(history, columns=columns), final=res, answers=answers)
+    stages = ["round", "context_s", "assign_s", "answer_s", "fit_s", "score_s"]
+    return RoundLog(pd.DataFrame(history, columns=columns), res, answers, pd.DataFrame(timings, columns=stages))

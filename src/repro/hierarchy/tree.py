@@ -4,11 +4,9 @@ The paper assumes a hierarchy tree ``H`` of claimed values (e.g., a
 geographical hierarchy). This module provides the tree abstraction used
 by every other component: ancestor/descendant queries (``G_o(v)`` /
 ``D_o(v)`` in the paper), tree distance for the *AvgDistance* metric,
-and a transitive-closure table consumable by Spark joins.
+and the transitive closure as a set of (descendant, ancestor) pairs.
 """
 from __future__ import annotations
-
-import pandas as pd
 
 ROOT = "ROOT"
 
@@ -154,8 +152,3 @@ class Hierarchy:
                 pairs.add((n, a))
         self._closure = frozenset(pairs)
         return self._closure
-
-    def closure_pdf(self) -> pd.DataFrame:
-        """Closure as a pandas frame with columns (desc, anc)."""
-        pairs = sorted(self.closure())
-        return pd.DataFrame(pairs, columns=["desc", "anc"])

@@ -1,10 +1,14 @@
 """Tests for the task-assignment algorithms (§4)."""
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchmarks.eai_walk import heap_walk
-from repro.assign.common import AssignContext, onecoin_matrix
+from repro.assign.common import AssignContext, onecoin_matrix, top_k
 from repro.assign.eai import eai_assign, eai_table
 from repro.assign.mb import mb_assign, mb_table
 from repro.assign.me import me_assign
@@ -542,3 +546,49 @@ class TestLayout:
         answers = pd.DataFrame({"object": [o[3], o[3], o[5]], "worker": ["w1", "w2", "other"], "value": ""})
         ctx = make_ctx(tdh_result, answers=answers)
         assert sorted(zip(*np.nonzero(ctx.answered))) == [(1, 3), (2, 3)]
+
+
+def top_k_reference(ctx, order, Q, then=None, exclusive=False):
+    """:func:`top_k` as one full ``lexsort`` of every free object per
+    worker: the reference for its partition-first selection."""
+    Q = np.broadcast_to(Q, ctx.answered.shape)
+    free = ~ctx.answered
+    out = {}
+    for j in order:
+        cand = np.flatnonzero(free[j])
+        keys = (cand,) if then is None else (cand, -then[cand])
+        best = cand[np.lexsort((*keys, -Q[j, cand]))[: ctx.k]]
+        if exclusive:
+            free[:, best] = False
+        out[ctx.workers[j]] = [ctx.objects[i] for i in best]
+    return out
+
+
+@st.composite
+def selections(draw):
+    """A small score table drawn from four levels (±0 included), so most
+    k-th places fall in a run of exact ties; a shared score row or one per
+    worker; an optional ``then`` key; an answered mask that can leave a
+    worker fewer free objects than k; and a worker order."""
+    n_w, n_o, k = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    level = st.sampled_from([-0.0, 0.0, 0.5, 1.0])
+    table = lambda n: np.array(draw(st.lists(level, min_size=n, max_size=n)))
+    Q = table(n_o) if draw(st.booleans()) else table(n_w * n_o).reshape(n_w, n_o)
+    then = table(n_o) if draw(st.booleans()) else None
+    answered = np.array(draw(st.lists(st.booleans(), min_size=n_w * n_o, max_size=n_w * n_o)))
+    ctx = SimpleNamespace(
+        answered=answered.reshape(n_w, n_o),
+        k=k,
+        workers=[f"w{j}" for j in range(n_w)],
+        objects=[f"o{i:02d}" for i in range(n_o)],
+    )
+    return ctx, draw(st.permutations(range(n_w))), Q, then, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(selections())
+def test_top_k_equals_a_full_sort(selection):
+    ctx, order, Q, then, exclusive = selection
+    got = top_k(ctx, order, Q, then=then, exclusive=exclusive)
+    want = top_k_reference(ctx, order, Q, then=then, exclusive=exclusive)
+    assert list(got.items()) == list(want.items())

@@ -18,7 +18,7 @@ from repro.baselines.numeric import catd, chi2_quantile, mean_baseline
 from repro.baselines.vote import vote
 from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
 from repro.core.result import argmax_truths
-from repro.datagen.truthdata import birthplaces_lite
+from repro.datagen.truthdata import birthplaces_lite, heritages_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
 
@@ -413,11 +413,38 @@ class TestMDC:
         assert M.accuracy(res.truths, gold) > 0.5
 
 
+def _ref_object_domains(records, hierarchy):
+    """``object_domains`` as a pandas plurality pick and a walk up the
+    parents per object, the form it had before the depth-1 lookup per
+    distinct value."""
+
+    def top(v):
+        if v not in hierarchy or v == hierarchy.root:
+            return "_other"
+        while hierarchy.depth(v) > 1:
+            v = hierarchy.parent(v)
+        return v
+
+    counts = (
+        records.groupby(["object", "value"]).size().rename("n").reset_index()
+        .sort_values(["object", "n", "value"], ascending=[True, False, True])
+    )
+    plural = counts.groupby("object").head(1)
+    return {o: top(v) for o, v in zip(plural["object"], plural["value"])}
+
+
 class TestDOCS:
     def test_domains_are_top_level(self, ds):
         doms = object_domains(ds.records, ds.hierarchy)
         for d in doms.values():
             assert d == "_other" or ds.hierarchy.depth(d) == 1
+
+    @pytest.mark.parametrize("make", [birthplaces_lite, heritages_lite], ids=["birthplaces", "heritages"])
+    def test_domains_equal_the_walk(self, make):
+        ds = make(sf=0.1, seed=0)
+        got = object_domains(ds.records, ds.hierarchy)
+        assert got == _ref_object_domains(ds.records, ds.hierarchy)
+        assert all(type(d) is str for d in got.values())
 
     def test_consensus(self, ds, gold):
         res = docs(ds.records, hierarchy=ds.hierarchy)

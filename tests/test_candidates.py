@@ -13,7 +13,7 @@ from repro.core.candidates import (
     numeric_ancestor_pairs_df,
 )
 from repro.datagen.stock import stock_lite
-from repro.datagen.truthdata import birthplaces_lite
+from repro.datagen.truthdata import birthplaces_lite, heritages_lite
 from repro.hierarchy import Hierarchy
 from repro.hierarchy.tree import ROOT
 
@@ -88,6 +88,31 @@ class TestAncestorPairs:
             {"object": ["o1", "o2"], "value": ["605.196", "605"]}
         )
         assert len(numeric_ancestor_pairs_df(cand)) == 0
+
+
+def _pandas_candidate_sets(records):
+    """:func:`candidate_sets` as a pandas drop-duplicates and sort: its reference."""
+    return records[["object", "value"]].drop_duplicates().sort_values(["object", "value"]).reset_index(drop=True)
+
+
+def _pandas_ancestor_pairs(candidates, hierarchy):
+    """:func:`hierarchical_ancestor_pairs` as two merges with the sorted
+    closure: its reference."""
+    closure = pd.DataFrame(sorted(hierarchy.closure()), columns=["desc", "anc"])
+    pairs = candidates.merge(closure, left_on="value", right_on="desc")
+    pairs = pairs.merge(candidates.rename(columns={"value": "anc"}), on=["object", "anc"])
+    return pairs[["object", "value", "anc"]].sort_values(["object", "value", "anc"]).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("sf", [0.02, 0.1, 1.0])
+@pytest.mark.parametrize("make", [birthplaces_lite, heritages_lite], ids=["birthplaces", "heritages"])
+def test_candidates_and_ancestor_pairs_match_pandas_reference(make, sf):
+    """Equal frames, dtypes and index included (``DataFrame.equals``)."""
+    ds = make(sf=sf, seed=0)
+    cand, want = candidate_sets(ds.records), _pandas_candidate_sets(ds.records)
+    assert cand.equals(want)
+    anc, want = hierarchical_ancestor_pairs(cand, ds.hierarchy), _pandas_ancestor_pairs(want, ds.hierarchy)
+    assert len(anc) and anc.equals(want)
 
 
 class TestCompileProblem:

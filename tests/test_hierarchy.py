@@ -118,11 +118,6 @@ class TestClosure:
     def test_closure_contains_transitive(self, geo):
         assert ("LibertyIsland", "USA") in geo.closure()
 
-    def test_closure_pdf_columns(self, geo):
-        pdf = geo.closure_pdf()
-        assert list(pdf.columns) == ["desc", "anc"]
-        assert len(pdf) == len(geo.closure())
-
     def test_closure_size(self, geo):
         # each node at depth d contributes d-1 non-root proper ancestors
         pairs = geo.closure()

@@ -47,6 +47,12 @@ class TestLoop:
         h = log.history
         assert list(h["round"]) == [0, 1, 2]
         assert set(h.columns) >= {"accuracy", "gen_accuracy", "avg_distance", "n_answers"}
+        # stage seconds per round, kept out of the history repeated runs reproduce
+        stages = ["context_s", "assign_s", "answer_s", "fit_s", "score_s"]
+        assert list(log.timings.columns) == ["round", *stages]
+        assert list(log.timings["round"]) == [0, 1, 2]
+        assert (log.timings[stages] >= 0).all().all() and (log.timings.loc[1:, stages] > 0).all().all()
+        assert not set(stages) & set(log.history.columns)
 
     def test_answers_accumulate(self, ds):
         log = run_crowdsourcing(ds, "TDH", "ME", rounds=3, n_workers=3, k=2, seed=0)

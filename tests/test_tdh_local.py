@@ -156,6 +156,16 @@ def test_converged_reported(tdh, converged):
     assert (res.extras["n_iter"] < tdh.max_iter) is converged
 
 
+def test_default_cap_converges_a_slow_cold_fit():
+    """A cold fit on BirthPlaces SF=1, dataset seed 12, takes 108 E-steps,
+    more than the 100 an earlier default allowed; the default cap lets it
+    converge."""
+    ds = birthplaces_lite(sf=1.0, seed=12)
+    anc = hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
+    res = TDH().fit(ds.records, None, anc)
+    assert res.extras["converged"] and res.extras["n_iter"] > 100
+
+
 def _side_estep_per_relationship(rows, param, mu):
     """One side's E-step with a masked sum per relationship: the reference
     the fused ``_side_estep`` must reproduce bit for bit."""
