@@ -3,8 +3,8 @@
 Implements:
 
 * the **incremental EM** estimate of the conditional confidence with one
-  additional answer (Eq. 16–18), using the cached ``N_ov``/``D_o`` from
-  the last full EM run;
+  additional answer (Eq. 16–18), from ``N_ov = mu_ov·D_o`` and ``D_o`` of
+  EM's last map, the sufficient statistics of the current estimate;
 * the quality measure ``EAI(w, o)`` (Eq. 14–15);
 * the **upper bound** ``U_EAI(o) = (1 - max_v mu_ov) / (|O|·(D_o+1))``
   of Lemma 4.1;
@@ -48,7 +48,13 @@ def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
     best = np.maximum.reduceat(X, row_start, axis=1)
     e_max = np.add.reduceat(pv * best, p.start, axis=1)  # Eq. (15)
     mu_max = np.maximum.reduceat(ctx.mu, p.start)
-    Q = np.where(p.nV > 1, (e_max - mu_max) / n_obj, 0.0)
+    gain = e_max - mu_max
+    # With N = mu·D an object no answer can move gains 0, computed as rounding of
+    # either sign; zeroed, the tie rule orders them. At SF=1 (both datasets, rounds
+    # 0/10/40) real gains measured > 1e-5 of max mu and rounding < 1e-13, but that
+    # is no bound: a real gain under the 2**-40 floor would be zeroed as well.
+    gain[np.abs(gain) <= 2.0**-40 * mu_max] = 0.0
+    Q = np.where(p.nV > 1, gain / n_obj, 0.0)
     U = (1.0 - mu_max) / (n_obj * (ctx.D + 1.0))
     # Lemma 4.1 proves Q <= U, so any excess is rounding; clamping keeps
     # the pruning skip (heap-min >= U) of the reference walk exact

@@ -25,11 +25,12 @@ which the EM loop has the MAP objective at no extra pass.
 Its coefficients and its per-claim normaliser depend only on the claim's
 object, so the E-step over all objects is the sum (:func:`_add`) of the
 E-steps over disjoint blocks of objects; only the M-step needs the totals.
-The EM loop (:meth:`TDH._em`, safeguarded SQUAREM) and :func:`_package`
-therefore take the E-step as a callable ``(mu, phi, psi) -> (mu_num,
-g_src, g_wrk, loglik)``: :class:`TDH` runs :func:`_estep` on the whole
-relation, one block, and :class:`repro.core.tdh_spark.TDHSpark` maps it
-over object blocks on Spark.
+The EM loop (:meth:`TDH._em`, safeguarded SQUAREM) therefore takes the
+E-step as a callable ``(mu, phi, psi) -> (mu_num, g_src, g_wrk,
+loglik)``: :class:`TDH` runs :func:`_estep` on the whole relation, one
+block, and :class:`repro.core.tdh_spark.TDHSpark` maps it over object
+blocks on Spark. A fit runs ``n_iter`` E-steps and no more: Eq. (9)'s
+numerator is ``N = mu * D`` of the last map (:func:`_package`).
 The local engine is what the crowdsourcing round loop uses: it re-runs EM
 thousands of times on tiny deltas, where per-job Spark overhead would
 dominate (see DESIGN.md §3). The loop compiles its problem once and refits
@@ -187,7 +188,7 @@ class TDH:
             trace.append((objective, delta))
             theta, converged = new, delta < self.tol
         mu, phi, psi = theta
-        res = _package(p, workers, estep, mu, phi, psi, gm1, mu_den, n_iter, converged)
+        res = _package(p, workers, mu, phi, psi, mu_den, n_iter, converged)
         res.extras["trace"] = pd.DataFrame(trace, columns=["objective", "max_dmu"])
         return res
 
@@ -257,17 +258,16 @@ def _add(a: tuple, b: tuple) -> tuple:
 def _package(
     p: Problem,
     workers: Claims | None,
-    estep,
     mu: np.ndarray,
     phi: np.ndarray,
     psi: np.ndarray | None,
-    gm1: float,
     mu_den: np.ndarray,
     n_iter: int,
     converged: bool,
 ) -> InferenceResult:
-    # Eq. (9) numerator/denominator, cached for the EAI incremental EM.
-    N = estep(mu, phi, psi)[0] + gm1
+    # Eq. (9) numerator and denominator of the map that produced mu, for EAI's
+    # incremental EM: Eq. (18) without an added answer gives mu back.
+    N = mu * mu_den[p.obj_of_cand]
     # the problem's name columns, shared (not copied) by mu, N, D and truths
     obj, val, objects = p.cand["object"], p.cand["value"], p.index.levels[0].to_numpy()
     psi_df = wacc = None

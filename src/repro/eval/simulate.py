@@ -55,7 +55,7 @@ def _cold(fit: Callable) -> Callable:
 # fit, (answers or None, the previous round's result or None) ->
 # InferenceResult. TDH starts EM from the previous round's fit.
 INFERENCE: dict[str, Callable] = {
-    "TDH": lambda ds, p, anc: partial(TDH(max_iter=60).fit_problem, p),
+    "TDH": lambda ds, p, anc: partial(TDH().fit_problem, p),
     "VOTE": lambda ds, p, anc: _cold(partial(vote, ds.records)),
     "LCA": lambda ds, p, anc: _cold(partial(lca, ds.records)),
     "DOCS": lambda ds, p, anc: _cold(partial(docs, ds.records, hierarchy=ds.hierarchy)),

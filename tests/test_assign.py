@@ -17,6 +17,8 @@ from repro.baselines.vote import vote
 from repro.core.candidates import candidate_sets, expand, hierarchical_ancestor_pairs
 from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import birthplaces_lite
+from repro.hierarchy import Hierarchy
+from repro.hierarchy.tree import ROOT
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +281,36 @@ class TestEAI:
         ctx._eai = Q, Q.max(axis=0) + rng.integers(0, 3, Q.shape[1]) / 1e4  # Lemma 4.1: U >= EAI
         assert walk_agreement(ctx) != "no tie"
 
+    def test_no_gain_is_exactly_zero(self, tdh_result):
+        """An object that gains nothing in exact arithmetic has EAI exactly
+        0, not rounding of either sign (two of the fixture's five such
+        objects compute to about -1e-17 without the rounding floor)."""
+        ctx = make_ctx(make_result_copy(tdh_result), workers=["w0"])
+        Q, _ = eai_table(ctx)
+        no_gain = [i for i, o in enumerate(ctx.objects) if ctx.nV[i] > 1 and gains_nothing(ctx, "w0", o)]
+        assert len(no_gain) >= 5
+        assert (Q[0, no_gain] == 0.0).all()
+
+    def test_no_gain_ties_fall_to_u_then_id(self):
+        """Four two-candidate objects on which one answer of a prior-psi
+        worker moves no best candidate: every EAI is exactly 0 (about
+        -3e-17 for a, b and c without the rounding floor), so Algorithm 1
+        takes them by U_EAI, and b before its exact copy c by object id."""
+        records = pd.DataFrame(
+            [("a", "s1", "X"), ("a", "s2", "X"), ("a", "s3", "Y")]
+            + [(o, s, "X") for o in "bc" for s in ("s1", "s2", "s3")]
+            + [("b", "s4", "Y"), ("c", "s4", "Y"), ("d", "s1", "X"), ("d", "s4", "Y")],
+            columns=["object", "source", "value"],
+        )
+        h = Hierarchy({ROOT: None, "X": ROOT, "Y": ROOT})
+        res = TDH().fit(records, None, hierarchical_ancestor_pairs(candidate_sets(records), h))
+        ctx = make_ctx(res, k=3, workers=["w0"])
+        Q, U = eai_table(ctx)
+        assert all(gains_nothing(ctx, "w0", o) for o in ctx.objects)
+        assert (Q == 0.0).all()
+        assert U[3] > U[0] > U[1] == U[2]
+        assert eai_assign(ctx) == {"w0": ["a", "b", "d"]}
+
     def test_requires_nd_tables(self, ds):
         ctx = make_ctx(vote(ds.records))
         with pytest.raises(ValueError, match="N/D"):
@@ -316,25 +348,40 @@ def walk_agreement(ctx):
     return "tie, same" if tied else "no tie"
 
 
-def dense_eai(ctx, w, o):
-    """EAI(w, o) per Eq. (14)–(18) from the K×K likelihood matrix of one
-    (worker, object), and the number of answers v' with P(v') = 0: the
-    independent oracle for the batched table."""
+def dense_eq18(ctx, w, o):
+    """Object ``o``'s answer likelihood ``A[v', v]`` for worker ``w``,
+    P(v') (Eq. 6), mu and mu_{o,v|w,v'} (Eq. 16, 18), densely from its
+    K×K basis."""
     i, sl = cands(ctx, o)
     mu = ctx.mu[sl]
-    if len(mu) == 1:
-        return 0.0, 0
-    N = ctx.N[sl]
-    D = float(ctx.D[i])
     psi = ctx.psi[ctx.workers.index(w)]
     B1, B2, B3 = likelihood_basis(ctx, o)
     A = psi[0] * B1 + psi[1] * B2 + psi[2] * B3
     pv = A @ mu  # Eq. (6)
     pv_safe = np.where(pv > 0, pv, 1.0)
     F = A * mu[None, :] / pv_safe[:, None]  # Eq. (16)
-    mu_cond = (N[None, :] + F) / (D + 1.0)  # Eq. (18)
+    return A, pv, mu, (ctx.N[sl][None, :] + F) / (float(ctx.D[i]) + 1.0)  # Eq. (18)
+
+
+def dense_eai(ctx, w, o):
+    """EAI(w, o) per Eq. (14)–(18) from the K×K likelihood matrix of one
+    (worker, object), and the number of answers v' with P(v') = 0: the
+    independent oracle for the batched table."""
+    _, pv, mu, mu_cond = dense_eq18(ctx, w, o)
+    if len(mu) == 1:
+        return 0.0, 0
     e_max = float(pv @ mu_cond.max(axis=1))  # Eq. (15)
     return (e_max - float(mu.max())) / len(ctx.objects), int((pv == 0).sum())
+
+
+def gains_nothing(ctx, w, o):
+    """Whether EAI(w, o) is 0 in exact arithmetic: every column of the
+    answer likelihood sums to one, so the answers' expected Eq. (18) is mu
+    when N = mu·D, and no answer v' with P(v') > 0 moves its argmax off
+    mu's."""
+    A, pv, mu, mu_cond = dense_eq18(ctx, w, o)
+    proper = np.allclose(A.sum(axis=0), 1.0, rtol=1e-12, atol=0)
+    return proper and bool((mu_cond[pv > 0].argmax(axis=1) == mu.argmax()).all())
 
 
 def make_result_copy(res):

@@ -11,7 +11,7 @@ from repro.baselines.vote import vote
 from repro.core import candidates
 from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
 from repro.core.tdh_local import TDH
-from repro.datagen.truthdata import birthplaces_lite
+from repro.datagen.truthdata import birthplaces_lite, heritages_lite
 from repro.datagen.workers import simulate_workers
 from repro.eval import metrics as M
 from repro.eval.simulate import ASSIGNERS, FEASIBLE, INFERENCE, run_crowdsourcing
@@ -100,7 +100,7 @@ class TestLoop:
 # run_crowdsourcing, which compiles once per run and scores by gathers, must
 # reproduce it exactly.
 REFERENCE_FITS = {
-    "TDH": lambda ds, anc, ans, prev: TDH(max_iter=60).fit_problem(
+    "TDH": lambda ds, anc, ans, prev: TDH().fit_problem(
         candidates.compile_problem(ds.records, anc), ans, prev
     ),
     "DOCS": lambda ds, anc, ans, prev: docs(ds.records, ans, hierarchy=ds.hierarchy),
@@ -177,6 +177,15 @@ def test_warm_started_fit_reaches_the_cold_fit(ds):
     assert log.history["converged"].all() and cold.extras["converged"]
     assert log.final.truths.equals(cold.truths)
     assert np.abs(log.final.mu["mu"] - cold.mu["mu"]).max() < 1e-5
+
+
+def test_table4_tdh_eai_run_converges_every_round():
+    """Table 4's Heritages TDH×EAI run (dataset seed 1, loop seed 8, SF=1,
+    50 rounds), whose late rounds need up to 81 E-steps: under the default
+    cap every fit converges."""
+    log = run_crowdsourcing(heritages_lite(sf=1.0, seed=1), "TDH", "EAI", rounds=50, seed=8)
+    assert len(log.history) == 51
+    assert log.history["converged"].all()
 
 
 def _count_compiles(monkeypatch) -> list:

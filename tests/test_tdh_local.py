@@ -12,7 +12,7 @@ from repro.core.candidates import (
     side_rows,
 )
 from repro.core.result import argmax_truths
-from repro.core.tdh_local import TDH, _extrapolate, _side_estep, initial_mu
+from repro.core.tdh_local import TDH, _estep, _extrapolate, _side_estep, initial_mu
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
@@ -110,9 +110,10 @@ class TestEMInvariants:
         assert set(res.truths["object"]) == set(ds.records["object"].unique())
 
     def test_N_D_consistent_with_mu(self, res):
-        """Eq. (9): mu = N/D at convergence (within EM tolerance)."""
+        """Eq. (9): N and D are the numerator and denominator of the map
+        that produced mu, so mu = N/D to rounding."""
         m = res.mu.merge(res.N, on=["object", "value"]).merge(res.D, on="object")
-        assert np.allclose(m["mu"], m["N"] / m["D"], atol=1e-4)
+        np.testing.assert_allclose(m["N"] / m["D"], m["mu"], rtol=1e-15, atol=0)
 
     def test_D_formula(self, ds, res):
         """D_o = |S_o| + |W_o| + |V_o| for gamma=2 (no answers here)."""
@@ -287,6 +288,24 @@ class TestSquarem:
         assert trace["max_dmu"].iloc[-1] < TDH().tol <= trace["max_dmu"].iloc[:-1].min()
         if with_answers:  # some extrapolations were discarded
             assert res.extras["n_iter"] > len(trace)
+
+    @pytest.mark.parametrize("max_iter", [5, 200], ids=["capped", "converged"])
+    @pytest.mark.parametrize("with_answers", [False, True], ids=["sources", "answers"])
+    def test_one_estep_per_iteration(self, bp, with_answers, max_iter):
+        """A fit runs its E-step ``n_iter`` times and no more: N comes from
+        the last map, not from one more E-step."""
+        ds, anc, p = bp
+        workers = code_answers(p, _answers_on(p, 5, 1, n_objects=30) if with_answers else None)
+        block = (p.source_rows, None if workers is None else side_rows(p, workers, popularity=True))
+        calls = []
+
+        def estep(*theta):
+            calls.append(1)
+            return _estep(block, *theta)
+
+        res = TDH(max_iter=max_iter)._em(p, workers, estep)
+        assert res.extras["converged"] == (max_iter == 200)
+        assert len(calls) == res.extras["n_iter"]
 
     def test_objective_is_the_map_objective(self, bp):
         """The first trace entry is the log-likelihood of every claim plus

@@ -90,6 +90,12 @@ class TestSparkLocalEquivalence:
         d = loc.D.merge(sp.D, on="object", suffixes=("_l", "_s"))
         assert float((d["D_l"] - d["D_s"]).abs().max()) < 1e-12
 
+    def test_N_D_consistent_with_mu(self, fits25):
+        """Eq. (9) on both engines: mu = N/D to rounding."""
+        for res in fits25:
+            m = res.mu.merge(res.N, on=["object", "value"]).merge(res.D, on="object")
+            np.testing.assert_allclose(m["N"] / m["D"], m["mu"], rtol=1e-15, atol=0)
+
     def test_eai_assignment_matches(self, fits25):
         """The path of jobs/assign_tasks.py: Algorithm 1 on a Spark fit."""
 
@@ -142,14 +148,14 @@ def _jobs_in_group(spark, group, run):
 
 
 def test_one_spark_job_per_em_iteration(spark, problem):
-    """Each EM iteration is one job, the final N pass one more; the rest
-    are the collects of the input frames."""
+    """Each EM iteration is one job and there is no other (N is mu·D of
+    the last map); the rest are the collects of the input frames."""
     ds, cand, anc, answers = problem
     frames = [spark.createDataFrame(x) for x in (ds.records, answers, anc)]
     _, collects = _jobs_in_group(spark, "tdh-collect", lambda: [f.toPandas() for f in frames])
     res, jobs = _jobs_in_group(spark, "tdh-fit", lambda: TDHSpark(spark, max_iter=5).fit(*frames))
     assert res.extras["n_iter"] == 5
-    assert jobs - collects == res.extras["n_iter"] + 1
+    assert jobs - collects == res.extras["n_iter"]
 
 
 def test_empty_blocks(spark):
