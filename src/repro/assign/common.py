@@ -26,7 +26,16 @@ from functools import cached_property
 import numpy as np
 import pandas as pd
 
+from repro.core.candidates import positions
 from repro.core.result import InferenceResult
+from repro.core.tdh_local import EMState
+
+
+def _rows(frame: pd.DataFrame | None, cols: list[str]) -> tuple[list[str], np.ndarray | None]:
+    """A per-worker frame as (worker names, ``frame[cols]`` rows)."""
+    if frame is None:
+        return [], None
+    return list(frame["worker"]), np.stack([frame[c].to_numpy(dtype=float) for c in cols], axis=1)
 
 
 @dataclass
@@ -35,7 +44,10 @@ class AssignContext:
 
     Built from ``result.mu``, whose rows must be in strictly increasing
     (object, value) order; a TDH fit's layout is read from its compiled
-    problem instead, whose cids its ``mu`` rows already are:
+    problem instead, whose cids its ``mu`` rows already are. A TDH run's
+    round loop passes the EM state of its last fit
+    (:class:`~repro.core.tdh_local.EMState`) as ``result``, read as arrays
+    throughout, and the answered mask it keeps as ``answers``:
 
     * ``objects`` (sorted ids; position = object code), ``start`` and
       ``nV`` (first row and candidate count of each object) and ``mu``;
@@ -44,23 +56,34 @@ class AssignContext:
       unseen), aligned with ``workers``;
     * ``answered`` (W × |O|): worker j already answered object i;
     * TDH results only: the fit's compiled ``problem`` and its ``N``
-      (per row) and ``D`` (per object) arrays; else ``None``.
+      (per row, ``mu·D``) and ``D`` (per object) arrays; else ``None``.
     """
 
-    result: InferenceResult
+    result: InferenceResult | EMState
     workers: list[str]
     k: int
-    answers: pd.DataFrame | None  # (object, worker, value) collected so far
+    # (object, worker, value) collected so far, or the W × |O| answered mask itself
+    answers: pd.DataFrame | np.ndarray | None
     rng: np.random.Generator
 
     def __post_init__(self):
-        mu = self.result.mu
-        self.problem = p = self.result.extras.get("problem")
-        self.N = self.D = None
-        if p is not None:  # a TDH fit: the mu rows are the problem's cids
+        res = self.result
+        if isinstance(res, EMState):
+            self.problem = p = res.problem
+            self.mu, self.D = res.mu, res.D
+            self.N = res.mu * res.D[p.obj_of_cand]  # as repro.core.tdh_local._package forms it
+            psi, acc = (res.workers, res.psi), (res.workers, None if res.psi is None else res.psi[:, :1])
+        else:
+            mu = res.mu
+            self.problem = p = res.extras.get("problem")
+            self.N = self.D = None
+            if p is not None:  # a TDH fit: the mu rows are the problem's cids
+                self.N = res.N["N"].to_numpy(dtype=float)
+                self.D = res.D["D"].to_numpy(dtype=float)
+            self.mu = mu["mu"].to_numpy(dtype=float)
+            psi, acc = _rows(res.psi, ["psi1", "psi2", "psi3"]), _rows(res.worker_accuracy, ["acc"])
+        if p is not None:
             self.objects, self.start, self.nV = p.objects, p.start, p.nV.astype(np.int64)
-            self.N = self.result.N["N"].to_numpy(dtype=float)
-            self.D = self.result.D["D"].to_numpy(dtype=float)
             object_index = p.index.levels[0]
         else:
             obj, val = mu["object"].to_numpy(), mu["value"].to_numpy()
@@ -71,11 +94,15 @@ class AssignContext:
             self.nV = np.diff(np.r_[self.start, len(obj)])
             self.objects: list[str] = obj[self.start].tolist()
             object_index = pd.Index(self.objects)
-        self.mu = mu["mu"].to_numpy(dtype=float)
-        self.psi = self._per_worker(self.result.psi, ["psi1", "psi2", "psi3"], 1 / 3)
-        self.acc = self._per_worker(self.result.worker_accuracy, ["acc"], 0.7)[:, 0]
-        self.answered = np.zeros((len(self.workers), len(self.objects)), dtype=bool)
-        if self.answers is not None and len(self.answers):
+        self.psi = self._per_worker(*psi, 3, 1 / 3)
+        self.acc = self._per_worker(*acc, 1, 0.7)[:, 0]
+        if isinstance(self.answers, np.ndarray):
+            if self.answers.shape != (len(self.workers), len(self.objects)):
+                raise ValueError("the answered mask must be workers × objects")
+            self.answered = self.answers
+        else:
+            self.answered = np.zeros((len(self.workers), len(self.objects)), dtype=bool)
+        if isinstance(self.answers, pd.DataFrame) and len(self.answers):
             i = object_index.get_indexer(self.answers["object"])
             if (i < 0).any():
                 raise ValueError(
@@ -86,12 +113,13 @@ class AssignContext:
             self.answered[j[j >= 0], i[j >= 0]] = True
         self._eai = None  # the round's EAI table, filled by repro.assign.eai
 
-    def _per_worker(self, frame: pd.DataFrame | None, cols: list[str], default: float) -> np.ndarray:
-        """``frame[cols]`` row of each of ``workers``, ``default`` if absent."""
-        out = np.full((len(self.workers), len(cols)), default)
-        if frame is not None:
-            at = pd.Index(frame["worker"]).get_indexer(self.workers)
-            out[at >= 0] = np.stack([frame[c].to_numpy(dtype=float) for c in cols], axis=1)[at[at >= 0]]
+    def _per_worker(self, names: list[str], rows: np.ndarray | None, width: int, default: float) -> np.ndarray:
+        """The row of ``rows`` named ``names`` of each of ``workers``,
+        ``default`` if absent."""
+        out = np.full((len(self.workers), width), default)
+        if rows is not None:
+            at = positions(names, self.workers)
+            out[at >= 0] = rows[at[at >= 0]]
         return out
 
     @cached_property

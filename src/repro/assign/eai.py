@@ -31,31 +31,36 @@ from repro.assign.common import AssignContext, top_k
 def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, U)``: ``Q[j, i] = EAI(ctx.workers[j], objects[i])`` per
     Eq. (14)–(18) and ``U[i] = U_EAI(objects[i])`` of Lemma 4.1, computed
-    once per context in one pass over every (worker, candidate pair)."""
+    once per context in one pass over every (worker, candidate pair) of
+    the objects with more than one candidate
+    (:attr:`~repro.core.candidates.Problem.movable_pairs`)."""
     if ctx._eai is not None:
         return ctx._eai
     p = ctx.problem
-    vp, v, B = p.pairs
-    row_start = np.searchsorted(vp, np.arange(len(p.cand)))  # first pair of each v'
     n_obj = len(p.objects)
-    X = ctx.psi @ B  # A[v', v] of every worker, one row per worker
-    X *= ctx.mu[v]
-    pv = np.add.reduceat(X, row_start, axis=1)  # P(v_o^w = v' | psi_w, mu_o), Eq. (6)
-    pv_safe = np.where(pv > 0, pv, 1.0)
-    X /= pv_safe[:, vp]  # f^v_{o,w|v'} of Eq. (16)
-    X += ctx.N[v]
-    X /= ctx.D[p.obj_of_cand[v]] + 1.0  # mu_{o,v|w,v'}, Eq. (18)
-    best = np.maximum.reduceat(X, row_start, axis=1)
-    e_max = np.add.reduceat(pv * best, p.start, axis=1)  # Eq. (15)
     mu_max = np.maximum.reduceat(ctx.mu, p.start)
-    gain = e_max - mu_max
-    # With N = mu·D an object no answer can move gains 0, computed as rounding of
-    # either sign; zeroed, the tie rule orders them. At SF=1 (both datasets, rounds
-    # 0/10/40) real gains measured > 1e-5 of max mu and rounding < 1e-13, but that
-    # is no bound: a real gain under the 2**-40 floor would be zeroed as well.
-    gain[np.abs(gain) <= 2.0**-40 * mu_max] = 0.0
-    Q = np.where(p.nV > 1, gain / n_obj, 0.0)
     U = (1.0 - mu_max) / (n_obj * (ctx.D + 1.0))
+    # Q is 0 by definition where |V_o| = 1: only the other objects' pairs are
+    # evaluated, each sum and maximum over the same terms in the same order
+    Q = np.zeros((len(ctx.workers), n_obj))
+    objs, vp_at, v, B, row_start, first = p.movable_pairs
+    if len(objs):
+        X = ctx.psi @ B  # A[v', v] of every worker, one row per worker
+        X *= ctx.mu[v]
+        pv = np.add.reduceat(X, row_start, axis=1)  # P(v_o^w = v' | psi_w, mu_o), Eq. (6)
+        pv_safe = np.where(pv > 0, pv, 1.0)
+        X /= pv_safe[:, vp_at]  # f^v_{o,w|v'} of Eq. (16)
+        X += ctx.N[v]
+        X /= ctx.D[p.obj_of_cand[v]] + 1.0  # mu_{o,v|w,v'}, Eq. (18)
+        best = np.maximum.reduceat(X, row_start, axis=1)
+        gain = np.add.reduceat(pv * best, first, axis=1)  # Eq. (15)
+        gain -= mu_max[objs]
+        # With N = mu·D an object no answer can move gains 0, computed as rounding of
+        # either sign; zeroed, the tie rule orders them. At SF=1 (both datasets, rounds
+        # 0/10/40) real gains measured > 1e-5 of max mu and rounding < 1e-13, but that
+        # is no bound: a real gain under the 2**-40 floor would be zeroed as well.
+        gain[np.abs(gain) <= 2.0**-40 * mu_max[objs]] = 0.0
+        Q[:, objs] = gain / n_obj
     # Lemma 4.1 proves Q <= U, so any excess is rounding; clamping keeps
     # the pruning skip (heap-min >= U) of the reference walk exact
     np.minimum(Q, U, out=Q)

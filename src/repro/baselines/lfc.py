@@ -53,16 +53,24 @@ def _fit(layout: ClaimLayout, *, max_iter: int = 50, tol: float = 1e-6, smooth: 
     mask = np.arange(K)[None, :] < nK[:, None]
     mu = np.where(mask, 1.0, 0.0)
     mu = mu / mu.sum(axis=1, keepdims=True)
+    # Both sums are bincounts over flat bins in (claim, position) order, so
+    # each bin adds its terms in claim order. The confusion counts start
+    # with one ``smooth`` term per bin, so each bin adds smooth first.
+    n_obj, n_conf = len(nK), S * K * K
+    obj_bin = (c_obj[:, None] * K + np.arange(K)).ravel()
+    src_bin = ((c_src[:, None] * K + np.arange(K)) * K + c_pos[:, None]).ravel()
+    conf_bin = np.concatenate([np.arange(n_conf), src_bin])
+    first = np.full(n_conf, smooth)
     for _ in range(max_iter):
-        log_mu = np.where(mask, 0.0, -np.inf)  # uniform prior over valid positions
         contrib = np.log(np.clip(pi[c_src, :, c_pos], 1e-300, None))  # (n_claims, K)
-        np.add.at(log_mu, c_obj, contrib)
+        log_mu = np.bincount(obj_bin, contrib.ravel(), minlength=n_obj * K).reshape(n_obj, K)
+        log_mu[~mask] = -np.inf  # uniform prior over valid positions
         mx = log_mu.max(axis=1, keepdims=True)
         new_mu = np.exp(log_mu - mx) * mask
         new_mu /= new_mu.sum(axis=1, keepdims=True)
         # M: confusion matrices
-        num = np.full((S, K, K), smooth)
-        np.add.at(num, (c_src, slice(None), c_pos), new_mu[c_obj])
+        num = np.bincount(conf_bin, np.concatenate([first, new_mu[c_obj].ravel()]), minlength=n_conf)
+        num = num.reshape(S, K, K)
         pi = num / num.sum(axis=2, keepdims=True)
         if float(np.max(np.abs(new_mu - mu))) < tol:
             mu = new_mu

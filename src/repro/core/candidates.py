@@ -22,8 +22,11 @@ the categorical baselines (:mod:`repro.baselines.claims`). :func:`expand`
 is the one implementation of the data-dependent coefficients of
 Eq. (1)–(4): the E-step of both TDH engines and the assigners' answer
 likelihood use it. The tests hold it equal to an independent SQL
-derivation of its rows. :attr:`Problem.source_rows` and
-:attr:`Problem.pairs` depend only on the problem and are cached on it.
+derivation of its rows. :attr:`Problem.source_rows`,
+:attr:`Problem.pairs` and :attr:`Problem.movable_pairs` depend only on the
+problem and are cached on it. :func:`answer_claims` is :func:`code_answers`
+for answers that are already codes, as the crowdsourcing round loop keeps
+them.
 """
 from __future__ import annotations
 
@@ -140,6 +143,25 @@ class Problem:
         B[rel - 1, np.cumsum(new) - 1] = coef
         return row[new], cand[new], B
 
+    @cached_property
+    def movable_pairs(self) -> tuple:
+        """:attr:`pairs` of the objects with more than one candidate, the
+        only objects an answer can move: ``(objs, vp_at, v, B, row_start,
+        first)``. ``objs`` are their codes; ``v`` and ``B`` their pairs' truth
+        cids and basis columns. Their candidates, in cid order, are the kept
+        answers: ``vp_at`` is each pair's answer among them, ``row_start``
+        the first pair of each, and ``first`` the first kept answer of each
+        of ``objs``."""
+        vp, v, B = self.pairs
+        keep = self.nV[self.obj_of_cand[vp]] > 1
+        vp, v, B = vp[keep], v[keep], B[:, keep]
+        objs = np.flatnonzero(self.nV > 1)
+        answers = np.flatnonzero(self.nV[self.obj_of_cand] > 1)
+        vp_at = np.searchsorted(answers, vp)
+        row_start = np.searchsorted(vp_at, np.arange(len(answers)))
+        first = np.searchsorted(answers, self.start[objs])
+        return objs, vp_at, v, B, row_start, first
+
 
 def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
     """Integer-code ``records`` (object, source, value) and ``anc_pairs``
@@ -209,12 +231,42 @@ def code_answers(problem: Problem, answers: pd.DataFrame | None) -> Claims | Non
     return _code(answers, "worker", obj, cids(problem, answers["object"], answers["value"]))
 
 
+def answer_claims(
+    problem: Problem, obj: np.ndarray, worker: np.ndarray, workers: list[str], cid: np.ndarray
+) -> Claims | None:
+    """:func:`code_answers` on answers that are already codes: each answer's
+    object code, its worker's position in ``workers`` and its cid. Workers
+    are coded by the rank of their *name* among those who answered, so the
+    claims, their order (by object, then worker name) and their checks are
+    those of :func:`code_answers` on the same answers by name."""
+    if not len(cid):
+        return None
+    agents = sorted(workers[j] for j in np.unique(worker))
+    agent = positions(agents, workers)[worker]
+    order = _by_object_agent(obj, agent, len(agents), "worker")
+    obj, cid = obj[order], cid[order]
+    ok = (cid >= 0) & (cid < len(problem.cand))
+    ok[ok] = problem.obj_of_cand[cid[ok]] == obj[ok]
+    if not ok.all():
+        i = np.argmin(ok)
+        raise ValueError(f"answered cid {cid[i]} not a candidate of {problem.objects[obj[i]]!r}")
+    return Claims(cid=cid, agent=agent[order], agents=agents)
+
+
 def cids(problem: Problem, objects, values) -> np.ndarray:
     """The cid of each (object, value) name pair, -1 for a non-candidate."""
     obj_names, val_names = problem.index.levels
     keys = problem.obj_of_cand * len(val_names) + problem.index.codes[1]
     o, v = obj_names.get_indexer(objects), val_names.get_indexer(values)
     return _lookup(keys, len(val_names), o, v)
+
+
+def positions(names: list[str], lookup: list[str]) -> np.ndarray:
+    """Each name of ``lookup``'s position in ``names``, -1 where absent:
+    ``pd.Index(names).get_indexer(lookup)`` for the few worker names of a
+    round, without building a pandas index per call."""
+    at = {name: i for i, name in enumerate(names)}
+    return np.array([at.get(name, -1) for name in lookup], dtype=np.int64)
 
 
 def _lookup(keys: np.ndarray, n_values: int, obj: np.ndarray, val: np.ndarray) -> np.ndarray:
@@ -232,17 +284,24 @@ def _code(claims: pd.DataFrame, agent_col: str, obj: np.ndarray, cid: np.ndarray
     their objects in sorted order and ``cid`` is each claim's candidate
     (-1 for none)."""
     agent, agents = pd.factorize(claims[agent_col], sort=True)
-    key = obj * len(agents) + agent
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        raise ValueError(f"at most one claim per (object, {agent_col}) is allowed")
+    order = _by_object_agent(obj, agent, len(agents), agent_col)
     cid = cid[order]
     bad = np.flatnonzero(cid < 0)
     if len(bad):
         o, v = claims[["object", "value"]].iloc[order[bad[0]]]
         raise ValueError(f"claimed value {v!r} not a candidate of {o!r}")
     return Claims(cid=cid, agent=agent[order], agents=list(agents))
+
+
+def _by_object_agent(obj: np.ndarray, agent: np.ndarray, n_agents: int, agent_col: str) -> np.ndarray:
+    """The order that sorts claims by (object, agent code); ``ValueError``
+    on a repeated (object, agent) pair."""
+    key = obj * n_agents + agent
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        raise ValueError(f"at most one claim per (object, {agent_col}) is allowed")
+    return order
 
 
 def claim_grid(problem: Problem, claim_cid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,22 +31,56 @@ loglik)``: :class:`TDH` runs :func:`_estep` on the whole relation, one
 block, and :class:`repro.core.tdh_spark.TDHSpark` maps it over object
 blocks on Spark. A fit runs ``n_iter`` E-steps and no more: Eq. (9)'s
 numerator is ``N = mu * D`` of the last map (:func:`_package`).
+
+:meth:`TDH._em` returns an :class:`EMState`: the (mu, phi, psi) arrays,
+the names of psi's workers, D, ``n_iter``, ``converged`` and the trace.
+:func:`_package` turns a state into an :class:`InferenceResult`, so a
+fit is: code the answers, run EM, package (:meth:`TDH.fit`,
+:meth:`TDH.fit_problem`, ``TDHSpark.fit``).
 The local engine is what the crowdsourcing round loop uses: it re-runs EM
 thousands of times on tiny deltas, where per-job Spark overhead would
-dominate (see DESIGN.md §3). The loop compiles its problem once and refits
-it every round with :meth:`TDH.fit_problem`, starting EM from the previous
-round's fit; :meth:`TDH.fit` is the compile followed by that call. The
-compiled problem is returned in ``extras["problem"]`` for the assigners.
+dominate (see DESIGN.md §3). The loop compiles its problem once, keeps
+its answers as codes and refits with :meth:`TDH.fit_claims` every round,
+starting EM from the previous round's state; it packages one result per
+run. The compiled problem is returned in ``extras["problem"]`` for the
+assigners.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import Claims, Problem, argmax_cids, code_answers, compile_problem, side_rows
+from repro.core.candidates import (
+    Claims,
+    Problem,
+    argmax_cids,
+    code_answers,
+    compile_problem,
+    positions,
+    side_rows,
+)
 from repro.core.result import InferenceResult
+
+
+@dataclass(frozen=True)
+class EMState:
+    """What EM leaves on a compiled problem (:meth:`TDH._em`): the MAP
+    estimate as arrays, from which the next fit on the same records
+    warm-starts and which :func:`_package` turns into an
+    :class:`~repro.core.result.InferenceResult`."""
+
+    problem: Problem
+    mu: np.ndarray  # per cid
+    phi: np.ndarray  # per source of ``problem`` × relationship
+    psi: np.ndarray | None  # per worker of ``workers`` × relationship; None without answers
+    workers: list[str]  # psi's rows: the sorted names of the workers who answered
+    D: np.ndarray  # Eq. (9)'s denominator per object, of the map that produced mu
+    n_iter: int
+    converged: bool
+    trace: list[tuple[float, float]]  # (objective, max_dmu) per kept E-step
 
 
 class TDH:
@@ -92,7 +126,13 @@ class TDH:
         pairs, whose source-side E-step rows every fit shares. ``start`` is
         an earlier fit on the same records to warm-start EM from
         (:meth:`_start`)."""
-        workers = code_answers(problem, answers)
+        state = None if start is None else _state_of(problem, start)
+        return _package(self.fit_claims(problem, code_answers(problem, answers), state))
+
+    def fit_claims(self, problem: Problem, workers: Claims | None, start: EMState | None = None) -> EMState:
+        """EM on ``problem`` and the coded worker claims (None without
+        answers), warm from ``start``, an earlier state on the same problem:
+        :meth:`fit_problem` before packaging. The round loop refits with it."""
         block = (
             problem.source_rows,
             None if workers is None else side_rows(problem, workers, popularity=True),
@@ -100,31 +140,26 @@ class TDH:
         return self._em(problem, workers, partial(_estep, block), start)
 
     # ------------------------------------------------------------------
-    def _start(self, p: Problem, workers: Claims | None, start: InferenceResult | None) -> tuple:
+    def _start(self, p: Problem, workers: Claims | None, start: EMState | None) -> tuple:
         """EM's starting point ``(mu, phi, psi)``: from the claim counts and
-        the prior means of phi/psi, or warm from ``start``, whose mu rows
-        are in ``p``'s cid order and whose phi rows are ``p``'s sources.
-        A worker without a psi row in ``start`` starts at the prior mean."""
+        the prior means of phi/psi, or warm from ``start``'s mu and phi and
+        its psi by worker name. A worker without a psi row in ``start``
+        starts at the prior mean."""
         psi = None
         if start is None:
             mu = initial_mu(p, workers, self.gamma)
             phi = np.tile(self.alpha / self.alpha.sum(), (len(p.sources.agents), 1))
         else:
-            mu = start.mu["mu"].to_numpy(dtype=float)
-            phi = np.stack([start.phi[f"phi{r}"] for r in (1, 2, 3)], axis=1)
-            if len(mu) != len(p.cand) or list(start.phi["source"]) != p.sources.agents:
-                raise ValueError("start is a fit on other records")
+            mu, phi = start.mu, start.phi
         if workers is not None:
             psi = np.tile(self.beta / self.beta.sum(), (len(workers.agents), 1))
             if start is not None and start.psi is not None:
-                at = pd.Index(start.psi["worker"]).get_indexer(workers.agents)
+                at = positions(start.workers, workers.agents)
                 known = at >= 0
-                psi[known] = np.stack([start.psi[f"psi{r}"] for r in (1, 2, 3)], axis=1)[at[known]]
+                psi[known] = start.psi[at[known]]
         return mu, phi, psi
 
-    def _em(
-        self, p: Problem, workers: Claims | None, estep, start: InferenceResult | None = None
-    ) -> InferenceResult:
+    def _em(self, p: Problem, workers: Claims | None, estep, start: EMState | None = None) -> EMState:
         """MAP EM as safeguarded SQUAREM (Varadhan & Roland 2008, scheme S3).
 
         ``estep(mu, phi, psi)`` returns the E-step sums of every object:
@@ -141,8 +176,11 @@ class TDH:
         keeps EM's monotone objective (Dempster, Laird & Rubin 1977).
         ``n_iter`` counts E-steps, and EM stops when one map moves no mu
         by ``tol`` or more (``converged``) or after ``max_iter`` E-steps.
-        ``extras["trace"]`` holds L and that move for every E-step but the
-        discarded ones.
+        The returned state's ``trace`` holds L and that move for every
+        E-step but the discarded ones.
+
+        The M-step (Eq. 9–11) adds the priors to the E-step's fresh sums and
+        divides them in place, by denominators computed once per fit.
         """
         obj_of = p.obj_of_cand
         gm1 = self.gamma - 1.0
@@ -154,19 +192,22 @@ class TDH:
             W_per_obj = np.bincount(obj_of[workers.cid], minlength=len(p.objects)).astype(float)
         mu_den = p.S + W_per_obj + p.nV * gm1
         den_of_cand = mu_den[obj_of]
-        a_sum = self.alpha.sum() - 3.0
-        b_sum = self.beta.sum() - 3.0
+        phi_den = nO_s[:, None] + (self.alpha.sum() - 3.0)
+        psi_den = None if workers is None else nO_w[:, None] + (self.beta.sum() - 3.0)
         trace: list[tuple[float, float]] = []
 
         def em_map(theta):
             """One E-step at theta: F(theta), L(theta) and F's max |dmu|."""
             mu, phi, psi = theta
             mu_num, g_src, g_wrk, loglik = estep(mu, phi, psi)
-            new = (
-                (mu_num + gm1) / den_of_cand,
-                (g_src + a1) / (nO_s[:, None] + a_sum),
-                None if psi is None else (g_wrk + b1) / (nO_w[:, None] + b_sum),
-            )
+            mu_num += gm1
+            mu_num /= den_of_cand
+            g_src += a1
+            g_src /= phi_den
+            if psi is not None:
+                g_wrk += b1
+                g_wrk /= psi_den
+            new = (mu_num, g_src, None if psi is None else g_wrk)
             objective = loglik + gm1 * np.log(mu).sum() + np.log(phi).sum(0) @ a1
             if psi is not None:
                 objective += np.log(psi).sum(0) @ b1
@@ -188,9 +229,8 @@ class TDH:
             trace.append((objective, delta))
             theta, converged = new, delta < self.tol
         mu, phi, psi = theta
-        res = _package(p, workers, mu, phi, psi, mu_den, n_iter, converged)
-        res.extras["trace"] = pd.DataFrame(trace, columns=["objective", "max_dmu"])
-        return res
+        names = [] if workers is None else workers.agents
+        return EMState(p, mu, phi, psi, names, mu_den, n_iter, converged, trace)
 
 
 def _extrapolate(t0: tuple, t1: tuple, t2: tuple) -> tuple:
@@ -255,32 +295,53 @@ def _add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _package(
-    p: Problem,
-    workers: Claims | None,
-    mu: np.ndarray,
-    phi: np.ndarray,
-    psi: np.ndarray | None,
-    mu_den: np.ndarray,
-    n_iter: int,
-    converged: bool,
-) -> InferenceResult:
-    # Eq. (9) numerator and denominator of the map that produced mu, for EAI's
-    # incremental EM: Eq. (18) without an added answer gives mu back.
-    N = mu * mu_den[p.obj_of_cand]
+def _package(state: EMState) -> InferenceResult:
+    """``state`` as the frames of an :class:`InferenceResult`."""
+    p, mu, phi, psi = state.problem, state.mu, state.phi, state.psi
+    # Eq. (9) numerator of the map that produced mu, for EAI's incremental EM:
+    # Eq. (18) without an added answer gives mu back.
+    N = mu * state.D[p.obj_of_cand]
     # the problem's name columns, shared (not copied) by mu, N, D and truths
     obj, val, objects = p.cand["object"], p.cand["value"], p.index.levels[0].to_numpy()
     psi_df = wacc = None
     if psi is not None:
-        psi_df = pd.DataFrame({"worker": workers.agents, **{f"psi{r}": psi[:, r - 1] for r in (1, 2, 3)}})
-        wacc = pd.DataFrame({"worker": workers.agents, "acc": psi[:, 0]})
+        psi_df = pd.DataFrame({"worker": state.workers, **{f"psi{r}": psi[:, r - 1] for r in (1, 2, 3)}})
+        wacc = pd.DataFrame({"worker": state.workers, "acc": psi[:, 0]})
     return InferenceResult(
         truths=pd.DataFrame({"object": objects, "value": val.to_numpy()[argmax_cids(p, mu)]}, copy=False),
         mu=pd.DataFrame({"object": obj, "value": val, "mu": mu}, copy=False),
         phi=pd.DataFrame({"source": p.sources.agents, **{f"phi{r}": phi[:, r - 1] for r in (1, 2, 3)}}),
         psi=psi_df,
         N=pd.DataFrame({"object": obj, "value": val, "N": N}, copy=False),
-        D=pd.DataFrame({"object": objects, "D": mu_den}, copy=False),
+        D=pd.DataFrame({"object": objects, "D": state.D}, copy=False),
         worker_accuracy=wacc,
-        extras={"n_iter": n_iter, "converged": converged, "problem": p},
+        extras={
+            "n_iter": state.n_iter,
+            "converged": state.converged,
+            "problem": p,
+            "trace": pd.DataFrame(state.trace, columns=["objective", "max_dmu"]),
+        },
+    )
+
+
+def _state_of(p: Problem, res: InferenceResult) -> EMState:
+    """The state a TDH fit on ``p``'s records packaged into ``res``."""
+    if len(res.mu) != len(p.cand) or list(res.phi["source"]) != p.sources.agents:
+        raise ValueError("start is a fit on other records")
+
+    def rows(frame: pd.DataFrame, name: str) -> np.ndarray:
+        return np.stack([frame[f"{name}{r}"].to_numpy(dtype=float) for r in (1, 2, 3)], axis=1)
+
+    psi = None if res.psi is None else rows(res.psi, "psi")
+    trace = res.extras["trace"]
+    return EMState(
+        p,
+        res.mu["mu"].to_numpy(dtype=float),
+        rows(res.phi, "phi"),
+        psi,
+        [] if psi is None else list(res.psi["worker"]),
+        res.D["D"].to_numpy(dtype=float),
+        res.extras["n_iter"],
+        res.extras["converged"],
+        list(zip(trace["objective"], trace["max_dmu"])),
     )

@@ -36,7 +36,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core import tdh_local
 from repro.core.candidates import Claims, Problem, code_answers, compile_problem, side_rows
 from repro.core.result import InferenceResult
-from repro.core.tdh_local import TDH, _add, _estep
+from repro.core.tdh_local import TDH, _add, _estep, _package
 
 # Workers may not be able to import ``repro``: ship the E-step by value.
 cloudpickle.register_pickle_by_value(tdh_local)
@@ -87,7 +87,7 @@ class TDHSpark(TDH):
                 params.destroy()
 
         try:
-            return self._em(problem, workers, estep)
+            return _package(self._em(problem, workers, estep))
         finally:
             blocks.unpersist()
 

@@ -21,9 +21,15 @@ class SimulatedWorker:
         self, rng: np.random.Generator, candidates: list[str], gold_candidate: str
     ) -> str:
         """One answer: the gold candidate w.p. ``p_correct`` else uniform."""
-        if gold_candidate in candidates and rng.random() < self.p_correct:
-            return gold_candidate
-        return candidates[rng.integers(len(candidates))]
+        gold = candidates.index(gold_candidate) if gold_candidate in candidates else -1
+        return candidates[self.pick(rng, len(candidates), gold)]
+
+    def pick(self, rng: np.random.Generator, n: int, gold: int) -> int:
+        """:meth:`answer` by position among ``n`` candidates, ``gold`` the
+        gold candidate's (-1 if it is none), with the same draws."""
+        if gold >= 0 and rng.random() < self.p_correct:
+            return gold
+        return rng.integers(n)
 
 
 def simulate_workers(

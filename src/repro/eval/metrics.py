@@ -91,15 +91,15 @@ def avg_distance(
 
 
 def gold_scorer(problem: Problem, gold: pd.DataFrame, hierarchy: Hierarchy):
-    """``truths -> (accuracy, gen_accuracy, avg_distance)`` over the
-    candidates of ``problem``, equal to the three functions above.
+    """``cids -> (accuracy, gen_accuracy, avg_distance)`` over the
+    candidates of ``problem``: the three functions above on the truths whose
+    cids are given (at most one per object), as :func:`truth_cids` codes a
+    truths frame or :func:`~repro.core.candidates.argmax_cids` a TDH fit's.
 
     Once: each candidate's exact hits, generalized hits and distance to the
     gold truth (the height where a value is not in the hierarchy), summed
-    over its object's gold rows. Per truths frame (one row per object):
-    those integers gathered at its cids, plus the height for each gold row
-    whose object has no truth. A truth that is not a candidate raises
-    ``ValueError``.
+    over its object's gold rows. Per call: those integers gathered at the
+    cids, plus the height for each gold row whose object has no truth.
     """
     n, height = len(gold), hierarchy.height
     g = pd.Index(problem.objects).get_indexer(gold["object"])
@@ -114,16 +114,22 @@ def gold_scorer(problem: Problem, gold: pd.DataFrame, hierarchy: Hierarchy):
     np.add.at(table, (slice(None), cid), np.asarray(counts, dtype=np.int64).reshape(-1, 3).T)
     n_gold = np.bincount(g, minlength=len(problem.objects))
 
-    def score(truths: pd.DataFrame) -> tuple[float, float, float]:
-        at = cids(problem, truths["object"], truths["value"])
-        if (at < 0).any():
-            o, v = truths[["object", "value"]].iloc[np.argmax(at < 0)]
-            raise ValueError(f"truth {v!r} is not a candidate of {o!r}")
+    def score(at: np.ndarray) -> tuple[float, float, float]:
         hits, gen_hits, dist = table[:, at].sum(axis=1)
         missing = n - n_gold[problem.obj_of_cand[at]].sum()
         return hits / n, gen_hits / n, (dist + height * missing) / n
 
     return score
+
+
+def truth_cids(problem: Problem, truths: pd.DataFrame) -> np.ndarray:
+    """The cids of a truths frame (object, value) in ``problem``; a truth
+    that is not a candidate raises ``ValueError``."""
+    at = cids(problem, truths["object"], truths["value"])
+    if (at < 0).any():
+        o, v = truths[["object", "value"]].iloc[np.argmax(at < 0)]
+        raise ValueError(f"truth {v!r} is not a candidate of {o!r}")
+    return at
 
 
 def expand_with_ancestors(value: str, hierarchy: Hierarchy) -> set[str]:

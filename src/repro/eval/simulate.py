@@ -6,9 +6,21 @@ each round every worker receives ``k`` questions (default 10 workers ×
 uniformly random candidate), and inference re-runs on the grown answer
 set. Per-round Accuracy / GenAccuracy / AvgDistance are recorded.
 
-A run compiles its problem once (V_o comes from the sources only): TDH
-refits that problem every round, and :func:`repro.eval.metrics.gold_scorer`
-scores each round's truths.
+A run compiles its problem once (V_o comes from the sources only) and
+keeps its answers as codes: each answer's object code, its worker's
+position in the worker list and its cid, the position of the answer in its
+object's candidates (:class:`_Answers`), with the workers × objects mask
+of what each worker has answered. :func:`repro.eval.metrics.gold_scorer`
+scores each round's truths by their cids. Names are built at the edges of
+the run only: the answers frame of :class:`RoundLog` once, at the end.
+
+The algorithms differ only in their :data:`INFERENCE` entry. TDH
+(:class:`_Coded`) refits EM on the answers as coded claims, warm from the
+previous round's :class:`~repro.core.tdh_local.EMState`; the assigners
+read that state's arrays and the answered mask, the scorer its argmax
+cids, and the run packages one :class:`InferenceResult`, after the last
+round. The baselines (:class:`_Named`) are cold fits on the answers by
+name, read back by name.
 
 The registry pins the feasible inference × assignment combinations of
 Table 4 (EAI needs TDH's N/D tables, MB needs DOCS's domain model,
@@ -35,9 +47,18 @@ from repro.baselines.lca import lca
 from repro.baselines.lfc import lfc
 from repro.baselines.mdc import mdc
 from repro.baselines.vote import vote
-from repro.core.candidates import candidate_sets, compile_problem, hierarchical_ancestor_pairs
+from repro.core.candidates import (
+    Claims,
+    Problem,
+    answer_claims,
+    argmax_cids,
+    candidate_sets,
+    cids,
+    compile_problem,
+    hierarchical_ancestor_pairs,
+)
 from repro.core.result import InferenceResult
-from repro.core.tdh_local import TDH
+from repro.core.tdh_local import TDH, EMState, _package
 from repro.datagen.truthdata import TruthDataset
 from repro.datagen.workers import SimulatedWorker, simulate_workers
 from repro.eval import metrics as M
@@ -46,25 +67,107 @@ from repro.eval import metrics as M
 _now = time.perf_counter
 
 
-def _cold(fit: Callable) -> Callable:
-    """An inference without a warm start, in the registry's signature."""
-    return lambda answers, previous: fit(answers)
+class _Answers:
+    """A run's answers as codes, in arrival order: each answer's object
+    code, its worker's position in ``workers`` and its cid, and the
+    ``workers`` × objects mask of the answered pairs."""
+
+    def __init__(self, problem: Problem, workers: list[str]):
+        self.problem, self.workers = problem, workers
+        self.obj = self.worker = self.cid = np.zeros(0, dtype=np.int64)
+        self.answered = np.zeros((len(workers), len(problem.objects)), dtype=bool)
+        self._frame = None
+
+    def __len__(self) -> int:
+        return len(self.cid)
+
+    def add(self, obj: np.ndarray, worker: np.ndarray, cid: np.ndarray) -> None:
+        self.obj = np.concatenate([self.obj, obj])
+        self.worker = np.concatenate([self.worker, worker])
+        self.cid = np.concatenate([self.cid, cid])
+        self.answered[worker, obj] = True
+        self._frame = None
+
+    def claims(self) -> Claims | None:
+        """The worker claims of TDH's E-step (None without answers)."""
+        return answer_claims(self.problem, self.obj, self.worker, self.workers, self.cid)
+
+    def frame(self) -> pd.DataFrame:
+        """The answers by name: (object, worker, value) rows in arrival order."""
+        if self._frame is None:
+            p = self.problem
+            self._frame = pd.DataFrame(
+                {
+                    "object": p.index.levels[0].to_numpy()[self.obj],
+                    "worker": np.asarray(self.workers, dtype=object)[self.worker],
+                    "value": p.cand["value"].to_numpy()[self.cid],
+                }
+            )
+        return self._frame
+
+
+class _Coded:
+    """TDH in the round loop: EM on the answers as coded claims, warm from
+    the previous round's :class:`EMState`, read as arrays."""
+
+    def __init__(self, problem: Problem):
+        self.problem, self.tdh = problem, TDH()
+
+    def fit(self, answers: _Answers, previous: EMState | None) -> EMState:
+        return self.tdh.fit_claims(self.problem, answers.claims(), previous)
+
+    def truths(self, state: EMState) -> np.ndarray:
+        return argmax_cids(self.problem, state.mu)
+
+    def em(self, state: EMState) -> tuple:
+        return state.n_iter, state.converged
+
+    def seen(self, answers: _Answers) -> np.ndarray:
+        return answers.answered
+
+    def final(self, state: EMState) -> InferenceResult:
+        return _package(state)
+
+
+class _Named:
+    """A baseline in the round loop: a cold fit on the answers by name,
+    whose :class:`InferenceResult` is read back by name."""
+
+    def __init__(self, problem: Problem, fit: Callable):
+        self.problem, self._fit = problem, fit
+
+    def fit(self, answers: _Answers, previous: InferenceResult | None) -> InferenceResult:
+        return self._fit(answers.frame() if len(answers) else None)
+
+    def truths(self, res: InferenceResult) -> np.ndarray:
+        return M.truth_cids(self.problem, res.truths)
+
+    def em(self, res: InferenceResult) -> tuple:
+        """EM iterations and whether EM converged, None where unreported."""
+        return res.extras.get("n_iter"), res.extras.get("converged")
+
+    def seen(self, answers: _Answers) -> pd.DataFrame:
+        return answers.frame()
+
+    def final(self, res: InferenceResult) -> InferenceResult:
+        return res
 
 
 # name -> (dataset, its compiled problem, its ancestor pairs) -> the run's
-# fit, (answers or None, the previous round's result or None) ->
-# InferenceResult. TDH starts EM from the previous round's fit.
+# algorithm: fit(answers, previous round's fit or None), and how the loop
+# reads truth cids, EM iterations and the assigners' answered pairs from a
+# fit, and the run's final InferenceResult.
 INFERENCE: dict[str, Callable] = {
-    "TDH": lambda ds, p, anc: partial(TDH().fit_problem, p),
-    "VOTE": lambda ds, p, anc: _cold(partial(vote, ds.records)),
-    "LCA": lambda ds, p, anc: _cold(partial(lca, ds.records)),
-    "DOCS": lambda ds, p, anc: _cold(partial(docs, ds.records, hierarchy=ds.hierarchy)),
-    "ACCU": lambda ds, p, anc: _cold(partial(accu, ds.records, max_iter=6)),
-    "POPACCU": lambda ds, p, anc: _cold(partial(popaccu, ds.records, max_iter=6)),
-    "ASUMS": lambda ds, p, anc: _cold(partial(asums, ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)),
-    "CRH": lambda ds, p, anc: _cold(partial(crh, ds.records)),
-    "MDC": lambda ds, p, anc: _cold(partial(mdc, ds.records)),
-    "LFC": lambda ds, p, anc: _cold(partial(lfc, ds.records)),
+    "TDH": lambda ds, p, anc: _Coded(p),
+    "VOTE": lambda ds, p, anc: _Named(p, partial(vote, ds.records)),
+    "LCA": lambda ds, p, anc: _Named(p, partial(lca, ds.records)),
+    "DOCS": lambda ds, p, anc: _Named(p, partial(docs, ds.records, hierarchy=ds.hierarchy)),
+    "ACCU": lambda ds, p, anc: _Named(p, partial(accu, ds.records, max_iter=6)),
+    "POPACCU": lambda ds, p, anc: _Named(p, partial(popaccu, ds.records, max_iter=6)),
+    "ASUMS": lambda ds, p, anc: _Named(p, partial(asums, ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)),
+    "CRH": lambda ds, p, anc: _Named(p, partial(crh, ds.records)),
+    "MDC": lambda ds, p, anc: _Named(p, partial(mdc, ds.records)),
+    "LFC": lambda ds, p, anc: _Named(p, partial(lfc, ds.records)),
 }
 ASSIGNERS = {
     "EAI": eai_assign,
@@ -103,11 +206,6 @@ class RoundLog:
     timings: pd.DataFrame
 
 
-def _em_state(res: InferenceResult) -> tuple:
-    """A fit's EM iterations and whether it converged (None if unreported)."""
-    return res.extras.get("n_iter"), res.extras.get("converged")
-
-
 def run_crowdsourcing(
     ds: TruthDataset,
     infer_name: str,
@@ -133,35 +231,43 @@ def run_crowdsourcing(
     infer = INFERENCE[infer_name](ds, problem, anc)
     gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
     score = M.gold_scorer(problem, gold, ds.hierarchy)
-    gold_cand = dict(zip(gold["object"], gold["truth"]))
-    values, nV = problem.cand["value"].to_numpy(), problem.nV.astype(np.int64)
-    answers = pd.DataFrame(columns=["object", "worker", "value"])
+    objects = problem.index.levels[0]
+    # each object's gold candidate as a position among its candidates, -1 if none
+    o, g = objects.get_indexer(gold["object"]), cids(problem, gold["object"], gold["truth"])
+    gold_at = np.full(len(objects), -1)
+    gold_at[o[o >= 0]] = np.where(g >= 0, g - problem.start[o], -1)[o >= 0]
     by_id = {w.worker: w for w in workers}
+    names = list(by_id)
+    position = {w: j for j, w in enumerate(names)}
+    nV = problem.nV.astype(np.int64)
+    answers = _Answers(problem, names)
     t = [_now()]
-    res = infer(None, None)
+    res = infer.fit(answers, None)
     t.append(_now())
-    history = [(0, *score(res.truths), 0, *_em_state(res))]
+    history = [(0, *score(infer.truths(res)), 0, *infer.em(res))]
     timings = [(0, 0.0, 0.0, 0.0, t[1] - t[0], _now() - t[1])]
     for r in range(1, rounds + 1):
         t = [_now()]
-        ctx = AssignContext(result=res, workers=list(by_id), k=k, answers=answers, rng=rng)
+        ctx = AssignContext(result=res, workers=names, k=k, answers=infer.seen(answers), rng=rng)
         t.append(_now())
         asked = [(o, w) for w, objs in assigner(ctx).items() for o in objs]
         t.append(_now())
-        at = problem.index.levels[0].get_indexer([o for o, _ in asked])
-        new = [
-            (o, w, by_id[w].answer(rng, values[s : s + n].tolist(), gold_cand.get(o, "")))
-            for (o, w), s, n in zip(asked, problem.start[at], nV[at])
-        ]
-        if new:
-            new = pd.DataFrame(new, columns=answers.columns)
-            answers = pd.concat([answers, new], ignore_index=True)
+        if asked:
+            at = objects.get_indexer([o for o, _ in asked])
+            who = np.array([position[w] for _, w in asked])
+            pick = [by_id[w].pick(rng, n, g) for (_, w), n, g in zip(asked, nV[at], gold_at[at])]
+            answers.add(at, who, problem.start[at] + np.array(pick, dtype=np.int64))
         t.append(_now())
-        res = infer(answers if len(answers) else None, res)
+        res = infer.fit(answers, res)
         t.append(_now())
-        history.append((r, *score(res.truths), len(answers), *_em_state(res)))
+        history.append((r, *score(infer.truths(res)), len(answers), *infer.em(res)))
         t.append(_now())
         timings.append((r, *np.diff(t)))
     columns = ["round", "accuracy", "gen_accuracy", "avg_distance", "n_answers", "n_iter", "converged"]
     stages = ["round", "context_s", "assign_s", "answer_s", "fit_s", "score_s"]
-    return RoundLog(pd.DataFrame(history, columns=columns), res, answers, pd.DataFrame(timings, columns=stages))
+    return RoundLog(
+        pd.DataFrame(history, columns=columns),
+        infer.final(res),
+        answers.frame(),
+        pd.DataFrame(timings, columns=stages),
+    )

@@ -11,6 +11,7 @@ from repro.baselines.claims import ClaimLayout, fold_answers
 from repro.baselines.crh import crh, crh_numeric
 from repro.baselines.docs import docs, domain_agents, object_domains
 from repro.baselines.lca import lca
+from repro.baselines import lfc as lfc_module
 from repro.baselines.lfc import lfc, lfc_mt
 from repro.baselines.mdc import mdc
 from repro.baselines.multitruth import dart, ltm
@@ -402,6 +403,47 @@ class TestLFC:
         tight = lfc_mt(SIMPLE, threshold=0.9)
         loose = lfc_mt(SIMPLE, threshold=0.05)
         assert sum(map(len, loose.values())) >= sum(map(len, tight.values()))
+
+
+def _ref_lfc_fit(layout: ClaimLayout, *, max_iter: int = 50, tol: float = 1e-6, smooth: float = 0.3):
+    """LFC's ``_fit`` with its two sums as ``np.add.at``, the form the
+    bincounts replaced."""
+    p = layout.problem
+    nK = p.nV.astype(np.int64)
+    K, S = int(nK.max()), len(layout.sources)
+    c_obj, c_src = p.obj_of_cand[layout.cid], layout.src
+    c_pos = layout.cid - p.start[c_obj]
+    pi = np.full((S, K, K), 0.3 / max(1, K - 1))
+    for j in range(K):
+        pi[:, j, j] = 0.7
+    mask = np.arange(K)[None, :] < nK[:, None]
+    mu = np.where(mask, 1.0, 0.0)
+    mu = mu / mu.sum(axis=1, keepdims=True)
+    for _ in range(max_iter):
+        log_mu = np.where(mask, 0.0, -np.inf)
+        np.add.at(log_mu, c_obj, np.log(np.clip(pi[c_src, :, c_pos], 1e-300, None)))
+        new_mu = np.exp(log_mu - log_mu.max(axis=1, keepdims=True)) * mask
+        new_mu /= new_mu.sum(axis=1, keepdims=True)
+        num = np.full((S, K, K), smooth)
+        np.add.at(num, (c_src, slice(None), c_pos), new_mu[c_obj])
+        pi = num / num.sum(axis=2, keepdims=True)
+        done = float(np.max(np.abs(new_mu - mu))) < tol
+        mu = new_mu
+        if done:
+            break
+    post = mu[p.obj_of_cand, np.arange(len(p.cand)) - p.start[p.obj_of_cand]]
+    return post, pi[:, np.arange(K), np.arange(K)].mean(axis=1)
+
+
+@pytest.mark.parametrize("with_answers", [False, True], ids=["sources", "answers"])
+def test_lfc_fit_equals_the_add_at_form(ds, answers, with_answers):
+    """The bincounts add each bin's terms in the order ``np.add.at`` did,
+    the smoothing constant first, so the posterior and the diagonals are
+    the same to the bit."""
+    layout = ClaimLayout(ds.records, answers if with_answers else None)
+    for kw in ({}, {"max_iter": 3}):
+        got, want = lfc_module._fit(layout, **kw), _ref_lfc_fit(layout, **kw)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestMDC:

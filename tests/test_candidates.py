@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.core.candidates import (
+    answer_claims,
     candidate_sets,
     code_answers,
     hierarchical_ancestor_pairs,
@@ -218,6 +219,53 @@ def test_malformed_input_rejected(recs, anc_rows, answer_rows, match):
     with pytest.raises(ValueError, match=match):
         p = compile_problem(recs, anc)
         code_answers(p, pd.DataFrame(answer_rows, columns=["object", "worker", "value"]))
+
+
+def _coded(p, answers, workers):
+    """``answers`` by name as answer_claims takes them: object codes,
+    positions in ``workers`` and cids."""
+    obj = p.index.levels[0].get_indexer(answers["object"])
+    worker = np.array([workers.index(w) for w in answers["worker"]], dtype=np.int64)
+    cid = p.index.get_indexer(pd.MultiIndex.from_frame(answers[["object", "value"]]))
+    return obj, worker, cid
+
+
+def test_answer_claims_equal_code_answers():
+    """Twelve workers listed w11..w0: the coded path orders them by name
+    (w10 before w2), as code_answers does, whatever their list position."""
+    records, anc_pairs = _birthplaces()
+    p = compile_problem(records, anc_pairs)
+    workers = [f"w{i}" for i in reversed(range(12))]
+    rng = np.random.default_rng(0)
+    pairs = rng.choice(len(p.objects) * 12, size=150, replace=False)
+    rows = [
+        (p.objects[o], workers[w], p.cand["value"].iloc[p.start[o] + rng.integers(p.nV[o])])
+        for o, w in zip(*np.divmod(pairs, 12))
+    ]
+    answers = pd.DataFrame(rows, columns=["object", "worker", "value"]).iloc[::-1]
+    obj, worker, cid = _coded(p, answers, workers)
+    got, want = answer_claims(p, obj, worker, workers, cid), code_answers(p, answers)
+    assert np.array_equal(got.cid, want.cid) and np.array_equal(got.agent, want.agent)
+    assert got.agents == want.agents and want.agents[:4] == ["w0", "w1", "w10", "w11"]
+    none = np.zeros(0, dtype=np.int64)
+    assert answer_claims(p, none, none, workers, none) is None
+
+
+def test_answer_claims_rejects_what_code_answers_rejects(recs):
+    p = compile_problem(recs, pd.DataFrame(columns=["object", "value", "anc"]))
+    workers = ["w2", "w1"]
+    repeated = pd.DataFrame([("o1", "w1", "NY"), ("o1", "w1", "LA")], columns=["object", "worker", "value"])
+    obj, worker, cid = _coded(p, repeated, workers)
+    with pytest.raises(ValueError, match=r"at most one claim per \(object, worker\)"):
+        code_answers(p, repeated)
+    with pytest.raises(ValueError, match=r"at most one claim per \(object, worker\)"):
+        answer_claims(p, obj, worker, workers, cid)
+    obj, worker, cid = obj[:1], worker[:1], cid[:1]
+    o2 = p.objects.index("o2")
+    with pytest.raises(ValueError, match="not a candidate of 'o2'"):  # o1's candidate, answered on o2
+        answer_claims(p, np.array([o2]), worker, workers, cid)
+    with pytest.raises(ValueError, match="not a candidate of 'o1'"):
+        answer_claims(p, obj, worker, workers, np.array([len(p.cand)]))
 
 
 @pytest.fixture()

@@ -1,11 +1,12 @@
 """Tests for the paper's quality measures (§5)."""
 import itertools
 
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.baselines.vote import vote
-from repro.core.candidates import candidate_sets, compile_problem, hierarchical_ancestor_pairs
+from repro.core.candidates import argmax_cids, candidate_sets, compile_problem, hierarchical_ancestor_pairs
 from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
@@ -150,13 +151,13 @@ class TestGoldScorer:
             truths = _truths(dict(zip(per_object.index, choice)))
             for dropped in [None, *truths["object"]]:  # a gold object without a truth
                 t = truths[truths["object"] != dropped]
-                assert score(t) == _per_object_scores(t, gold, h)
+                assert score(M.truth_cids(p, t)) == _per_object_scores(t, gold, h)
 
     def test_unmapped_gold_frame(self, h, setup):
         p, _, _ = setup
         score = M.gold_scorer(p, self.GOLD, h)
         truths = _truths({"o1": "USA", "o2": "USA", "o3": "LA", "o4": "London"})
-        assert score(truths) == _per_object_scores(truths, self.GOLD, h)
+        assert score(M.truth_cids(p, truths)) == _per_object_scores(truths, self.GOLD, h)
 
     def test_baseline_truths(self, h, setup):
         p, gold, score = setup
@@ -166,14 +167,14 @@ class TestGoldScorer:
         )
         for ans in (None, answers):
             truths = vote(self.RECORDS, ans).truths
-            assert score(truths) == _per_object_scores(truths, gold, h)
+            assert score(M.truth_cids(p, truths)) == _per_object_scores(truths, gold, h)
 
     def test_non_candidate_truth_rejected(self, setup):
-        _, _, score = setup
+        p, _, _ = setup
         with pytest.raises(ValueError, match="not a candidate"):
-            score(_truths({"o1": "NY", "o2": "LA"}))
+            M.truth_cids(p, _truths({"o1": "NY", "o2": "LA"}))
         with pytest.raises(ValueError, match="not a candidate"):
-            score(_truths({"o9": "NY"}))
+            M.truth_cids(p, _truths({"o9": "NY"}))
 
     @pytest.mark.parametrize("sf", [0.01, 0.05])
     def test_generated_dataset(self, sf):
@@ -183,12 +184,15 @@ class TestGoldScorer:
         p = compile_problem(ds.records, anc)
         gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
         score = M.gold_scorer(p, gold, ds.hierarchy)
+        fit = TDH(max_iter=20).fit_problem(p, None)
         for truths in (
-            TDH(max_iter=20).fit_problem(p, None).truths,
+            fit.truths,
             vote(ds.records).truths,
             vote(ds.records).truths.sample(frac=0.5, random_state=0),
         ):
-            assert score(truths) == _per_object_scores(truths, gold, ds.hierarchy)
+            assert score(M.truth_cids(p, truths)) == _per_object_scores(truths, gold, ds.hierarchy)
+        # a TDH fit's truths by name are its argmax cids, which the round loop scores
+        assert np.array_equal(M.truth_cids(p, fit.truths), argmax_cids(p, fit.mu["mu"].to_numpy()))
 
 
 class TestMultiTruth:

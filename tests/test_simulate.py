@@ -8,7 +8,7 @@ import pytest
 from repro.assign.common import AssignContext
 from repro.baselines.docs import docs
 from repro.baselines.vote import vote
-from repro.core import candidates
+from repro.core import candidates, tdh_local
 from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
 from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import birthplaces_lite, heritages_lite
@@ -168,6 +168,21 @@ def test_loop_equals_a_from_scratch_fit_every_round(ds, infer, assign):
         assert (got is None and want is None) or got.equals(want), name
 
 
+@pytest.mark.parametrize("assign", ["EAI", "QASCA", "ME"])
+def test_loop_equals_the_reference_with_twelve_workers(ds, assign):
+    """Workers w0..w11, whose name order (w10 before w2) is not their list
+    order: the loop's coded answers give the claims code_answers gives the
+    reference's answers by name."""
+    kw = dict(rounds=4, n_workers=12, k=3, seed=5)
+    log = run_crowdsourcing(ds, "TDH", assign, **kw)
+    history, answers, anc, final = reference_loop(ds, "TDH", assign, **kw)
+    assert sorted(log.answers["worker"].unique())[:4] == ["w0", "w1", "w10", "w11"]
+    assert log.history.equals(history)
+    assert log.answers.equals(answers)
+    for name in FINAL_FIELDS:
+        assert getattr(log.final, name).equals(getattr(final, name)), name
+
+
 def test_warm_started_fit_reaches_the_cold_fit(ds):
     """The loop's last fit, started from the round before, and a cold fit
     on the same answers both converge to the same point."""
@@ -188,25 +203,33 @@ def test_table4_tdh_eai_run_converges_every_round():
     assert log.history["converged"].all()
 
 
-def _count_compiles(monkeypatch) -> list:
-    """Count compile_problem calls through every repro module that imports it."""
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Count calls of ``owner.name`` through every repro module that imports it."""
     calls = []
-    original = candidates.compile_problem
+    original = getattr(owner, name)
 
     def counted(*args, **kw):
         calls.append(1)
         return original(*args, **kw)
 
     for mod in list(sys.modules.values()):
-        name = getattr(mod, "__name__", "")
-        if name.startswith("repro") and getattr(mod, "compile_problem", None) is original:
-            monkeypatch.setattr(mod, "compile_problem", counted)
+        if getattr(mod, "__name__", "").startswith("repro") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("assign", ["EAI", "QASCA", "ME"])
 @pytest.mark.parametrize("rounds", [1, 4])
 def test_tdh_run_compiles_once(ds, monkeypatch, assign, rounds):
-    calls = _count_compiles(monkeypatch)
+    calls = _count_calls(monkeypatch, candidates, "compile_problem")
     run_crowdsourcing(ds, "TDH", assign, rounds=rounds, n_workers=3, k=2, seed=0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("assign", ["EAI", "QASCA", "ME"])
+@pytest.mark.parametrize("rounds", [0, 4])
+def test_tdh_run_packages_once(ds, monkeypatch, assign, rounds):
+    """Rounds pass EM states; the run packages one InferenceResult, its final."""
+    calls = _count_calls(monkeypatch, tdh_local, "_package")
+    log = run_crowdsourcing(ds, "TDH", assign, rounds=rounds, n_workers=3, k=2, seed=0)
+    assert len(calls) == 1 and log.final.extras["n_iter"] == log.history["n_iter"].iloc[-1]

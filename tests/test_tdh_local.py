@@ -12,7 +12,7 @@ from repro.core.candidates import (
     side_rows,
 )
 from repro.core.result import argmax_truths
-from repro.core.tdh_local import TDH, _estep, _extrapolate, _side_estep, initial_mu
+from repro.core.tdh_local import TDH, _estep, _extrapolate, _side_estep, _state_of, initial_mu
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
@@ -303,9 +303,9 @@ class TestSquarem:
             calls.append(1)
             return _estep(block, *theta)
 
-        res = TDH(max_iter=max_iter)._em(p, workers, estep)
-        assert res.extras["converged"] == (max_iter == 200)
-        assert len(calls) == res.extras["n_iter"]
+        state = TDH(max_iter=max_iter)._em(p, workers, estep)
+        assert state.converged == (max_iter == 200)
+        assert len(calls) == state.n_iter
 
     def test_objective_is_the_map_objective(self, bp):
         """The first trace entry is the log-likelihood of every claim plus
@@ -366,7 +366,7 @@ class TestSquarem:
         tdh = TDH()
         prev = tdh.fit_problem(p, _answers_on(p, 3, 0))
         workers = code_answers(p, _answers_on(p, 5, 1))
-        mu, phi, psi = tdh._start(p, workers, prev)
+        mu, phi, psi = tdh._start(p, workers, _state_of(p, prev))
         assert np.array_equal(mu, prev.mu["mu"]) and np.array_equal(phi, prev.phi[["phi1", "phi2", "phi3"]])
         assert np.array_equal(psi[:3], prev.psi[["psi1", "psi2", "psi3"]])
         assert np.array_equal(psi[3:], np.tile(tdh.beta / tdh.beta.sum(), (2, 1)))
