@@ -28,7 +28,7 @@ import pandas as pd
 
 from repro.core.candidates import positions
 from repro.core.result import InferenceResult
-from repro.core.tdh_local import EMState
+from repro.core.tdh_local import EMState, _state_of
 
 
 def _rows(frame: pd.DataFrame | None, cols: list[str]) -> tuple[list[str], np.ndarray | None]:
@@ -42,12 +42,14 @@ def _rows(frame: pd.DataFrame | None, cols: list[str]) -> tuple[list[str], np.nd
 class AssignContext:
     """Everything an assigner may need for one round.
 
-    Built from ``result.mu``, whose rows must be in strictly increasing
-    (object, value) order; a TDH fit's layout is read from its compiled
-    problem instead, whose cids its ``mu`` rows already are. A TDH run's
-    round loop passes the EM state of its last fit
-    (:class:`~repro.core.tdh_local.EMState`) as ``result``, read as arrays
-    throughout, and the answered mask it keeps as ``answers``:
+    A TDH fit is read as arrays: its EM state
+    (:class:`~repro.core.tdh_local.EMState`), which a crowdsourcing run's
+    round loop passes as ``result``, or the state a packaged TDH result was
+    built from; its layout is that of its compiled problem, whose cids its
+    ``mu`` rows are. Any other result is read from ``result.mu``, whose rows
+    must be in strictly increasing (object, value) order, and its
+    per-worker frames. ``answers`` may be the answered mask itself, as the
+    round loop keeps it:
 
     * ``objects`` (sorted ids; position = object code), ``start`` and
       ``nV`` (first row and candidate count of each object) and ``mu``;
@@ -68,24 +70,18 @@ class AssignContext:
 
     def __post_init__(self):
         res = self.result
-        if isinstance(res, EMState):
+        if isinstance(res, InferenceResult) and "problem" in res.extras:
+            res = _state_of(res)  # a packaged TDH fit, read as the arrays it was packaged from
+        if isinstance(res, EMState):  # a TDH fit: the mu rows are the problem's cids
             self.problem = p = res.problem
+            self.objects, self.start, self.nV = p.objects, p.start, p.nV.astype(np.int64)
             self.mu, self.D = res.mu, res.D
             self.N = res.mu * res.D[p.obj_of_cand]  # as repro.core.tdh_local._package forms it
             psi, acc = (res.workers, res.psi), (res.workers, None if res.psi is None else res.psi[:, :1])
-        else:
-            mu = res.mu
-            self.problem = p = res.extras.get("problem")
-            self.N = self.D = None
-            if p is not None:  # a TDH fit: the mu rows are the problem's cids
-                self.N = res.N["N"].to_numpy(dtype=float)
-                self.D = res.D["D"].to_numpy(dtype=float)
-            self.mu = mu["mu"].to_numpy(dtype=float)
-            psi, acc = _rows(res.psi, ["psi1", "psi2", "psi3"]), _rows(res.worker_accuracy, ["acc"])
-        if p is not None:
-            self.objects, self.start, self.nV = p.objects, p.start, p.nV.astype(np.int64)
             object_index = p.index.levels[0]
         else:
+            mu = res.mu
+            self.problem = self.N = self.D = None
             obj, val = mu["object"].to_numpy(), mu["value"].to_numpy()
             new = obj[1:] != obj[:-1]
             if not ((obj[1:] >= obj[:-1]).all() and (val[1:][~new] > val[:-1][~new]).all()):
@@ -93,6 +89,8 @@ class AssignContext:
             self.start = np.flatnonzero(np.r_[True, new])
             self.nV = np.diff(np.r_[self.start, len(obj)])
             self.objects: list[str] = obj[self.start].tolist()
+            self.mu = mu["mu"].to_numpy(dtype=float)
+            psi, acc = _rows(res.psi, ["psi1", "psi2", "psi3"]), _rows(res.worker_accuracy, ["acc"])
             object_index = pd.Index(self.objects)
         self.psi = self._per_worker(*psi, 3, 1 / 3)
         self.acc = self._per_worker(*acc, 1, 0.7)[:, 0]

@@ -119,20 +119,16 @@ class TDH:
         """
         return self.fit_problem(compile_problem(records, anc_pairs), answers)
 
-    def fit_problem(
-        self, problem: Problem, answers: pd.DataFrame | None, start: InferenceResult | None = None
-    ) -> InferenceResult:
+    def fit_problem(self, problem: Problem, answers: pd.DataFrame | None) -> InferenceResult:
         """:meth:`fit` on the compiled problem of its records and ancestor
-        pairs, whose source-side E-step rows every fit shares. ``start`` is
-        an earlier fit on the same records to warm-start EM from
-        (:meth:`_start`)."""
-        state = None if start is None else _state_of(problem, start)
-        return _package(self.fit_claims(problem, code_answers(problem, answers), state))
+        pairs, whose source-side E-step rows every fit shares."""
+        return _package(self.fit_claims(problem, code_answers(problem, answers)))
 
     def fit_claims(self, problem: Problem, workers: Claims | None, start: EMState | None = None) -> EMState:
         """EM on ``problem`` and the coded worker claims (None without
-        answers), warm from ``start``, an earlier state on the same problem:
-        :meth:`fit_problem` before packaging. The round loop refits with it."""
+        answers), warm from ``start``, an earlier state on the same records
+        (:meth:`_start`): :meth:`fit_problem` before packaging. The round
+        loop refits with it."""
         block = (
             problem.source_rows,
             None if workers is None else side_rows(problem, workers, popularity=True),
@@ -149,6 +145,10 @@ class TDH:
         if start is None:
             mu = initial_mu(p, workers, self.gamma)
             phi = np.tile(self.alpha / self.alpha.sum(), (len(p.sources.agents), 1))
+        elif start.problem is not p and (
+            len(start.mu) != len(p.cand) or start.problem.sources.agents != p.sources.agents
+        ):
+            raise ValueError("start is a fit on other records")
         else:
             mu, phi = start.mu, start.phi
         if workers is not None:
@@ -324,10 +324,9 @@ def _package(state: EMState) -> InferenceResult:
     )
 
 
-def _state_of(p: Problem, res: InferenceResult) -> EMState:
-    """The state a TDH fit on ``p``'s records packaged into ``res``."""
-    if len(res.mu) != len(p.cand) or list(res.phi["source"]) != p.sources.agents:
-        raise ValueError("start is a fit on other records")
+def _state_of(res: InferenceResult) -> EMState:
+    """The state a TDH fit packaged into ``res``: its arrays, as
+    :func:`_package` wrote them."""
 
     def rows(frame: pd.DataFrame, name: str) -> np.ndarray:
         return np.stack([frame[f"{name}{r}"].to_numpy(dtype=float) for r in (1, 2, 3)], axis=1)
@@ -335,7 +334,7 @@ def _state_of(p: Problem, res: InferenceResult) -> EMState:
     psi = None if res.psi is None else rows(res.psi, "psi")
     trace = res.extras["trace"]
     return EMState(
-        p,
+        res.extras["problem"],
         res.mu["mu"].to_numpy(dtype=float),
         rows(res.phi, "phi"),
         psi,

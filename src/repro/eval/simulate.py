@@ -10,17 +10,18 @@ A run compiles its problem once (V_o comes from the sources only) and
 keeps its answers as codes: each answer's object code, its worker's
 position in the worker list and its cid, the position of the answer in its
 object's candidates (:class:`_Answers`), with the workers × objects mask
-of what each worker has answered. :func:`repro.eval.metrics.gold_scorer`
-scores each round's truths by their cids. Names are built at the edges of
-the run only: the answers frame of :class:`RoundLog` once, at the end.
+of what each worker has answered, which the assigners take.
+:func:`repro.eval.metrics.gold_scorer` scores each round's truths by their
+cids. Names are built at the edges of the run only: the answers frame of
+:class:`RoundLog` once, at the end.
 
 The algorithms differ only in their :data:`INFERENCE` entry. TDH
 (:class:`_Coded`) refits EM on the answers as coded claims, warm from the
 previous round's :class:`~repro.core.tdh_local.EMState`; the assigners
-read that state's arrays and the answered mask, the scorer its argmax
-cids, and the run packages one :class:`InferenceResult`, after the last
-round. The baselines (:class:`_Named`) are cold fits on the answers by
-name, read back by name.
+read that state's arrays, the scorer its argmax cids, and the run
+packages one :class:`InferenceResult`, after the last round. The
+baselines (:class:`_Named`) are cold fits on the answers by name, read
+back by name.
 
 The registry pins the feasible inference × assignment combinations of
 Table 4 (EAI needs TDH's N/D tables, MB needs DOCS's domain model,
@@ -122,9 +123,6 @@ class _Coded:
     def em(self, state: EMState) -> tuple:
         return state.n_iter, state.converged
 
-    def seen(self, answers: _Answers) -> np.ndarray:
-        return answers.answered
-
     def final(self, state: EMState) -> InferenceResult:
         return _package(state)
 
@@ -146,17 +144,15 @@ class _Named:
         """EM iterations and whether EM converged, None where unreported."""
         return res.extras.get("n_iter"), res.extras.get("converged")
 
-    def seen(self, answers: _Answers) -> pd.DataFrame:
-        return answers.frame()
-
     def final(self, res: InferenceResult) -> InferenceResult:
         return res
 
 
 # name -> (dataset, its compiled problem, its ancestor pairs) -> the run's
 # algorithm: fit(answers, previous round's fit or None), and how the loop
-# reads truth cids, EM iterations and the assigners' answered pairs from a
-# fit, and the run's final InferenceResult.
+# reads truth cids and EM iterations from a fit, and the run's final
+# InferenceResult. Every baseline's result.mu covers the problem's objects in
+# its sorted order, so the assigners of every algorithm take the answered mask.
 INFERENCE: dict[str, Callable] = {
     "TDH": lambda ds, p, anc: _Coded(p),
     "VOTE": lambda ds, p, anc: _Named(p, partial(vote, ds.records)),
@@ -248,7 +244,7 @@ def run_crowdsourcing(
     timings = [(0, 0.0, 0.0, 0.0, t[1] - t[0], _now() - t[1])]
     for r in range(1, rounds + 1):
         t = [_now()]
-        ctx = AssignContext(result=res, workers=names, k=k, answers=infer.seen(answers), rng=rng)
+        ctx = AssignContext(result=res, workers=names, k=k, answers=answers.answered, rng=rng)
         t.append(_now())
         asked = [(o, w) for w, objs in assigner(ctx).items() for o in objs]
         t.append(_now())

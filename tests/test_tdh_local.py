@@ -12,7 +12,7 @@ from repro.core.candidates import (
     side_rows,
 )
 from repro.core.result import argmax_truths
-from repro.core.tdh_local import TDH, _estep, _extrapolate, _side_estep, _state_of, initial_mu
+from repro.core.tdh_local import TDH, _estep, _extrapolate, _package, _side_estep, initial_mu
 from repro.datagen.truthdata import birthplaces_lite
 from repro.eval import metrics as M
 from repro.hierarchy import Hierarchy
@@ -329,11 +329,11 @@ class TestSquarem:
         """Two E-steps are two plain EM maps: no extrapolation yet."""
         ds, anc, p = bp
         res = TDH(max_iter=2).fit(ds.records, None, anc)
-        one = TDH(max_iter=1).fit_problem(p, None)
-        again = TDH(max_iter=1).fit_problem(p, None, start=one)
+        one = TDH(max_iter=1).fit_claims(p, None)
+        again = _package(TDH(max_iter=1).fit_claims(p, None, one))
         assert res.mu.equals(again.mu) and res.phi.equals(again.phi)
         assert list(res.extras["trace"]["objective"]) == [
-            one.extras["trace"]["objective"].iloc[0],
+            one.trace[0][0],
             again.extras["trace"]["objective"].iloc[0],
         ]
 
@@ -364,21 +364,25 @@ class TestSquarem:
         new to the fit at the prior mean; mu and phi are the start's."""
         ds, anc, p = bp
         tdh = TDH()
-        prev = tdh.fit_problem(p, _answers_on(p, 3, 0))
+        prev = tdh.fit_claims(p, code_answers(p, _answers_on(p, 3, 0)))
         workers = code_answers(p, _answers_on(p, 5, 1))
-        mu, phi, psi = tdh._start(p, workers, _state_of(p, prev))
-        assert np.array_equal(mu, prev.mu["mu"]) and np.array_equal(phi, prev.phi[["phi1", "phi2", "phi3"]])
-        assert np.array_equal(psi[:3], prev.psi[["psi1", "psi2", "psi3"]])
+        mu, phi, psi = tdh._start(p, workers, prev)
+        assert prev.workers == workers.agents[:3]
+        assert np.array_equal(mu, prev.mu) and np.array_equal(phi, prev.phi)
+        assert np.array_equal(psi[:3], prev.psi)
         assert np.array_equal(psi[3:], np.tile(tdh.beta / tdh.beta.sum(), (2, 1)))
 
     def test_warm_start_on_other_records_rejected(self, bp):
         ds, anc, p = bp
         other = birthplaces_lite(sf=0.01, seed=0)
-        start = TDH(max_iter=2).fit(
-            other.records, None, hierarchical_ancestor_pairs(candidate_sets(other.records), other.hierarchy)
+        start = TDH(max_iter=2).fit_claims(
+            compile_problem(
+                other.records, hierarchical_ancestor_pairs(candidate_sets(other.records), other.hierarchy)
+            ),
+            None,
         )
         with pytest.raises(ValueError, match="other records"):
-            TDH().fit_problem(p, None, start)
+            TDH().fit_claims(p, None, start)
 
 
 class TestWorkerSide:
