@@ -1,6 +1,6 @@
 """Reproduce Table 3 (truth inference without crowdsourcing).
 
-Usage: python jobs/table3.py [--sf 0.1] [--csv out.csv]
+Usage: python jobs/table3.py [--sf 1.0] [--csv out.csv]
 TDH is additionally run through the Spark engine to exercise the
 distributed path (the local engine is asserted equal in tests).
 """
@@ -20,7 +20,7 @@ from repro.tables.table3 import table3
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sf", type=float, default=0.1)
+    ap.add_argument("--sf", type=float, default=1.0)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--csv", default=None)
     ap.add_argument("--skip-spark", action="store_true")

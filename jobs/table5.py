@@ -1,6 +1,6 @@
 """Reproduce Table 5 (multi-truth precision/recall/F1).
 
-Usage: python jobs/table5.py [--sf 0.1] [--csv out.csv]
+Usage: python jobs/table5.py [--sf 1.0] [--csv out.csv]
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.tables.table5 import table5  # noqa: E402
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sf", type=float, default=0.1)
+    ap.add_argument("--sf", type=float, default=1.0)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()

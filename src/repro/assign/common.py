@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import positions
+from repro.core.candidates import count_groups, positions
 from repro.core.result import InferenceResult
 from repro.core.tdh_local import EMState, _state_of
 
@@ -122,16 +122,13 @@ class AssignContext:
 
     @cached_property
     def groups(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """``(K, objs, rows)`` for each candidate count K: the codes of the
-        objects with K candidates and their ``mu`` rows, one object per row
-        of a ``len(objs) × K`` index matrix. A sum, maximum or matrix
-        product over the last axis of ``mu[rows]`` rounds exactly as it
-        does on one object's vector."""
-        out = []
-        for K in np.unique(self.nV):
-            objs = np.flatnonzero(self.nV == K)
-            out.append((int(K), objs, self.start[objs, None] + np.arange(K)))
-        return out
+        """``(K, objs, rows)`` for each candidate count K
+        (:func:`~repro.core.candidates.count_groups`): the codes of the
+        objects with K candidates and their ``mu`` rows. A TDH context's are
+        its problem's, cached on it."""
+        if self.problem is not None:
+            return self.problem.groups
+        return count_groups(self.start, self.nV)
 
 
 def onecoin_matrix(K: int, acc) -> np.ndarray:

@@ -23,10 +23,10 @@ is the one implementation of the data-dependent coefficients of
 Eq. (1)–(4): the E-step of both TDH engines and the assigners' answer
 likelihood use it. The tests hold it equal to an independent SQL
 derivation of its rows. :attr:`Problem.source_rows`,
-:attr:`Problem.pairs` and :attr:`Problem.movable_pairs` depend only on the
-problem and are cached on it. :func:`answer_claims` is :func:`code_answers`
-for answers that are already codes, as the crowdsourcing round loop keeps
-them.
+:attr:`Problem.pairs`, :attr:`Problem.movable_pairs` and
+:attr:`Problem.groups` depend only on the problem and are cached on it.
+:func:`answer_claims` is :func:`code_answers` for answers that are already
+codes, as the crowdsourcing round loop keeps them.
 """
 from __future__ import annotations
 
@@ -161,6 +161,25 @@ class Problem:
         row_start = np.searchsorted(vp_at, np.arange(len(answers)))
         first = np.searchsorted(answers, self.start[objs])
         return objs, vp_at, v, B, row_start, first
+
+    @cached_property
+    def groups(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """:func:`count_groups` of the objects, which the assigners read
+        every round."""
+        return count_groups(self.start, self.nV.astype(np.int64))
+
+
+def count_groups(start: np.ndarray, nV: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(K, objs, rows)`` for each candidate count K of objects laid out by
+    ``start``/``nV``: the codes of the objects with K candidates and their
+    rows, one object per row of a ``len(objs) × K`` index matrix. A sum,
+    maximum or matrix product over the last axis of ``x[rows]`` rounds
+    exactly as it does on one object's vector."""
+    out = []
+    for K in np.unique(nV):
+        objs = np.flatnonzero(nV == K)
+        out.append((int(K), objs, start[objs, None] + np.arange(K)))
+    return out
 
 
 def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:

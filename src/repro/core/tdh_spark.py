@@ -14,19 +14,32 @@ the M-step are global. :meth:`TDHSpark.fit` therefore:
    (rows are sorted by object, so each block is an array slice), which it
    parallelizes and caches;
 3. runs the local engine's EM loop (``TDH._em``), whose E-step broadcasts
-   (mu, phi, psi) and runs ``blocks.map(_estep).reduce(_add)``: one Spark
-   job per E-step, ``n_iter`` in all. The M-step, the SQUAREM
+   (mu, phi, psi) and runs ``blocks.map(_estep_task(params)).reduce(_add)``:
+   one Spark job per E-step, ``n_iter`` in all. The M-step, the SQUAREM
    extrapolation, the convergence test and the packaging (with Eq. (9)'s
    ``N = mu * D``) are the local engine's.
 
 The parameters stay on the driver (O(|candidates| + |S| + |W|)) and the
 expanded claims on the executors, with constant lineage across
-iterations. The blocks are plain numpy arrays and the E-step's module is
-pickled by value, so Spark's Python workers need numpy but not this
-package. ``jobs/assign_tasks.py`` runs EAI (Algorithm 1) locally on the
-collected result.
+iterations. The blocks are plain numpy arrays, the task function is a
+closure and the E-step's module is pickled by value, so Spark's Python
+workers need numpy but not this package. ``jobs/assign_tasks.py`` runs
+EAI (Algorithm 1) locally on the collected result.
+
+Every Python task starts with ``importlib.invalidate_caches()``
+(``pyspark.worker_util.setup_spark_files``), and on CPython 3.11 that
+makes each ``zipimporter`` in the worker's ``sys.path_importer_cache``
+re-read its archive (``pyspark.zip``, the py4j zip, a spark-core jar):
+about 0.19 s per task, more than a fit's E-step arithmetic. The task
+function therefore drops those entries after each block. ``sys.path_importer_cache`` is a cache that the import
+system refills on demand, and ``zipimport`` keeps each archive's directory
+in a cache of its own, so a later import from the archive still works;
+the next task's invalidation just finds nothing to re-read.
 """
 from __future__ import annotations
+
+import sys
+import zipimport
 
 import numpy as np
 import pandas as pd
@@ -82,7 +95,7 @@ class TDHSpark(TDH):
         def estep(mu, phi, psi):
             params = sc.broadcast((mu, phi, psi))
             try:
-                return blocks.map(lambda block: _estep(block, *params.value)).reduce(_add)
+                return blocks.map(_estep_task(params)).reduce(_add)
             finally:
                 params.destroy()
 
@@ -90,6 +103,23 @@ class TDHSpark(TDH):
             return _package(self._em(problem, workers, estep))
         finally:
             blocks.unpersist()
+
+
+def _estep_task(params):
+    """The function the E-step job maps over the blocks: :func:`_estep` of a
+    block at ``params.value`` (``(mu, phi, psi)``, a broadcast), which then
+    drops every zip importer from the worker's ``sys.path_importer_cache``
+    so that the next task's ``importlib.invalidate_caches()`` re-reads no
+    archive. A closure, so that it is pickled by value."""
+
+    def run(block):
+        out = _estep(block, *params.value)
+        for path, finder in list(sys.path_importer_cache.items()):
+            if isinstance(finder, zipimport.zipimporter):
+                del sys.path_importer_cache[path]
+        return out
+
+    return run
 
 
 def _blocks(p: Problem, workers: Claims | None, n: int) -> list:

@@ -1,4 +1,5 @@
 """Tests for the task-assignment algorithms (§4)."""
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -570,6 +571,18 @@ class TestLayout:
         assert ctx.objects == p.objects
         np.testing.assert_array_equal(ctx.start, p.start)
         np.testing.assert_array_equal(ctx.nV, p.nV)
+
+    def test_groups_cached_on_the_problem(self, tdh_result):
+        """Every TDH context of one problem shares the problem's groups; a
+        context read from the frames alone builds equal ones."""
+        p = tdh_result.extras["problem"]
+        assert make_ctx(tdh_result).groups is p.groups is make_ctx(tdh_result).groups
+        from_frames = make_ctx(dataclasses.replace(tdh_result, extras={})).groups
+        assert from_frames is not p.groups
+        assert [K for K, _, _ in from_frames] == [K for K, _, _ in p.groups]
+        for (_, objs, rows), (_, want_objs, want_rows) in zip(from_frames, p.groups):
+            np.testing.assert_array_equal(objs, want_objs)
+            np.testing.assert_array_equal(rows, want_rows)
 
     @pytest.mark.parametrize("bad", ["swapped", "repeated"])
     def test_unordered_mu_rejected(self, ds, bad):

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import duckdb
 import numpy as np
@@ -20,7 +21,7 @@ from repro.core.candidates import (
     hierarchical_ancestor_pairs,
 )
 from repro.core.tdh_local import TDH, _add, _estep, initial_mu
-from repro.core.tdh_spark import TDHSpark, _blocks
+from repro.core.tdh_spark import TDHSpark, _blocks, _estep_task
 from repro.datagen.truthdata import birthplaces_lite, heritages_lite
 from repro.oracle import assert_equivalent
 
@@ -183,7 +184,8 @@ def test_empty_blocks(spark):
 def test_block_estep_needs_no_repro_on_workers(tmp_path, problem):
     """Spark's Python workers may not be able to import ``repro`` (the
     benchmark and ``jobs/`` put ``src`` on the driver's path only): the
-    functions the E-step job ships must unpickle and run without it."""
+    functions the E-step job ships, the task it maps and the ``_add`` it
+    reduces with, must unpickle and run without it."""
     ds, cand, anc, answers = problem
     p = compile_problem(ds.records, anc)
     workers = code_answers(p, answers)
@@ -191,14 +193,14 @@ def test_block_estep_needs_no_repro_on_workers(tmp_path, problem):
     mu = initial_mu(p, workers, 2.0)
     phi = np.full((len(p.sources.agents), 3), 1 / 3)
     psi = np.full((len(workers.agents), 3), 1 / 3)
-    (tmp_path / "job").write_bytes(cloudpickle.dumps((_estep, _add)))
-    (tmp_path / "args").write_bytes(pickle.dumps((block, mu, phi, psi)))
+    params = SimpleNamespace(value=(mu, phi, psi))  # what the task reads of a broadcast
+    (tmp_path / "job").write_bytes(cloudpickle.dumps((_estep_task(params), _add)))
+    (tmp_path / "args").write_bytes(pickle.dumps(block))
     script = (
         "import pickle, sys\n"
         "sys.modules['repro'] = None  # a worker without the package\n"
-        "estep, add = pickle.load(open('job', 'rb'))\n"
-        "block, mu, phi, psi = pickle.load(open('args', 'rb'))\n"
-        "out = estep(block, mu, phi, psi)\n"
+        "task, add = pickle.load(open('job', 'rb'))\n"
+        "out = task(pickle.load(open('args', 'rb')))\n"
         "pickle.dump(add(out, out), open('out', 'wb'))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -215,6 +217,34 @@ def test_block_estep_needs_no_repro_on_workers(tmp_path, problem):
     want = _estep(block, mu, phi, psi)
     for g, w in zip(got, want):
         assert np.array_equal(g, 2 * w)
+
+
+def test_estep_tasks_leave_no_zip_importers(spark, problem):
+    """Every Python task starts with ``importlib.invalidate_caches()``, which
+    makes each zip importer a worker has cached re-read its archive
+    (``pyspark.zip``, ...). After a fit, no worker holds one, and a worker
+    still imports from the archives and runs pandas jobs."""
+    ds, cand, anc, _ = problem
+    TDHSpark(spark, max_iter=5).fit(spark.createDataFrame(ds.records), None, spark.createDataFrame(anc))
+    sc = spark.sparkContext
+    n = sc.defaultParallelism
+
+    def zip_importers(_):
+        import sys
+        import zipimport
+
+        yield sum(isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values())
+
+    assert sc.parallelize(range(n), n).mapPartitions(zip_importers).collect() == [0] * n
+
+    def fresh_import(_):
+        import importlib
+
+        return importlib.import_module("pyspark.mllib.linalg").__name__  # no worker has imported it
+
+    assert sc.parallelize(range(n), n).map(fresh_import).collect() == ["pyspark.mllib.linalg"] * n
+    doubled = spark.range(8).mapInPandas(lambda frames: (f * 2 for f in frames), "id long")
+    assert sorted(r.id for r in doubled.collect()) == list(range(0, 16, 2))
 
 
 @pytest.mark.parametrize("engine", ["local", "spark"])
