@@ -49,7 +49,7 @@ def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
         X *= ctx.mu[v]
         pv = np.add.reduceat(X, row_start, axis=1)  # P(v_o^w = v' | psi_w, mu_o), Eq. (6)
         pv_safe = np.where(pv > 0, pv, 1.0)
-        X /= pv_safe[:, vp_at]  # f^v_{o,w|v'} of Eq. (16)
+        X /= np.take(pv_safe, vp_at, axis=1)  # f^v_{o,w|v'} of Eq. (16)
         X += ctx.N[v]
         X /= ctx.D[p.obj_of_cand[v]] + 1.0  # mu_{o,v|w,v'}, Eq. (18)
         best = np.maximum.reduceat(X, row_start, axis=1)

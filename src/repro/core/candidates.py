@@ -7,8 +7,13 @@ ancestors of ``v`` in the hierarchy (root excluded); ``D_o(v)`` its
 descendants. Both are derived from the per-object *ancestor-pair*
 relation ``(object, value, anc)`` produced here — either from a
 :class:`~repro.hierarchy.Hierarchy` or from the numeric rounding rule.
+Hierarchy pairs come from one walk up the tree's ancestor-at-depth table
+(:meth:`~repro.hierarchy.Hierarchy.arrays`) from every candidate, each step
+a key lookup; :func:`nearest_candidates` takes the same walk from gold
+truths (the §5 mapping).
 
-:func:`compile_problem` integer-codes records and ancestor pairs into a
+:func:`compile_problem` integer-codes records and ancestor pairs (a frame,
+or a hierarchy walked on the records' own codes) into a
 :class:`Problem` (candidate ids, ``|V_o|``, ``|G_o(v)|``, ``O_H``, the
 popularity counts of Eq. 3–4) and validates them; :func:`code_answers`
 codes and validates worker answers against it, and :func:`cids` looks up
@@ -50,22 +55,73 @@ def hierarchical_ancestor_pairs(candidates: pd.DataFrame, hierarchy: Hierarchy) 
     """(object, value, anc) rows with ``anc ∈ G_o(value)``, sorted.
 
     Both endpoints must be candidates of the same object; the hierarchy
-    root never appears (the paper excludes it from ``G_o``). Closure pairs
-    are matched to the candidates by ``searchsorted`` on coded keys.
+    root never appears (the paper excludes it from ``G_o``). The pairs are
+    :func:`_ancestor_walk` from every candidate.
     """
-    closure = hierarchy.closure()  # (desc, anc), root excluded already
-    if not closure or candidates.empty:
+    if candidates.empty:
         return pd.DataFrame(columns=["object", "value", "anc"])
     _, objects, values, keys, _ = code_candidates(candidates)
-    n = len(values)
-    desc, anc = (values.get_indexer(list(side)) for side in zip(*closure))
-    known = (desc >= 0) & (anc >= 0)
-    link = np.unique(desc[known] * n + anc[known])
-    lo, hi = (np.searchsorted(link, (keys % n + d) * n) for d in (0, 1))
-    row, at = ranges(lo, hi - lo)  # candidate, then each ancestor of its value
-    up = link[at] % n
-    hit = _lookup(keys, n, keys[row] // n, up) >= 0
-    return _names(objects, values, keys[row[hit]]).assign(anc=values.take(up[hit]))
+    desc, anc = _sorted_pairs(*_tree_pairs(hierarchy, values, keys), len(keys))
+    return _names(objects, values, keys[desc]).assign(anc=values.take(keys[anc] % len(values)))
+
+
+def _ancestor_walk(
+    hierarchy: Hierarchy, values: pd.Index, keys: np.ndarray, obj: np.ndarray, node: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one walk up the hierarchy: for each row ``i`` (object code
+    ``obj[i]``, hierarchy node code ``node[i]``, -1 outside the tree), the
+    candidates of its object among ``keys`` (``object code · |values| +
+    value code``) that are proper ancestors of its node below the root, as
+    ``(row, cid)`` pairs, each row's nearest ancestor first.
+
+    Step ``s`` reads every live row's ancestor ``s`` levels up from the
+    ancestor-at-depth table of :meth:`Hierarchy.arrays` and looks it up
+    among the keys; a row leaves the walk when that ancestor would be the
+    root, so there are at most ``height − 1`` steps.
+    """
+    tree = hierarchy.arrays()
+    value_of = values.get_indexer(tree.names)  # each node's value code, -1 if none
+    row = np.flatnonzero(node >= 0)
+    depth = tree.depth[node[row]]
+    rows, hits = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for step in range(1, hierarchy.height):
+        live = depth > step
+        row, depth = row[live], depth[live]
+        cid = _lookup(keys, len(values), obj[row], value_of[tree.up[node[row], depth - step]])
+        rows.append(row[cid >= 0])
+        hits.append(cid[cid >= 0])
+    return np.concatenate(rows), np.concatenate(hits)
+
+
+def _tree_pairs(hierarchy: Hierarchy, values: pd.Index, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(descendant cid, ancestor cid) of every ancestor pair among the
+    candidate keys: :func:`_ancestor_walk` from each candidate's value."""
+    node = hierarchy.arrays().names.get_indexer(values)[keys % len(values)]
+    return _ancestor_walk(hierarchy, values, keys, keys // len(values), node)
+
+
+def nearest_candidates(
+    hierarchy: Hierarchy, objects: pd.Index, values: pd.Index, keys: np.ndarray, obj_names, value_names
+) -> np.ndarray:
+    """For each (object, value) name pair, the cid of the value among the
+    candidates ``keys`` of the object (coded by ``objects`` and ``values``),
+    else the cid of its deepest candidate ancestor below the root (the
+    first hit of :func:`_ancestor_walk`), else -1: the §5 mapping of a gold
+    truth onto the candidates."""
+    obj, value_names = objects.get_indexer(obj_names), np.asarray(value_names)
+    at = _lookup(keys, len(values), obj, values.get_indexer(value_names))
+    miss = np.flatnonzero(at < 0)
+    node = hierarchy.arrays().names.get_indexer(value_names[miss])
+    row, anc = _ancestor_walk(hierarchy, values, keys, obj[miss], node)
+    row, first = np.unique(row, return_index=True)
+    at[miss[row]] = anc[first]
+    return at
+
+
+def _sorted_pairs(desc: np.ndarray, anc: np.ndarray, n_cand: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (descendant cid, ancestor cid) pairs, sorted."""
+    key = np.unique(desc * n_cand + anc)
+    return key // n_cand, key % n_cand
 
 
 def code_candidates(claims: pd.DataFrame):
@@ -126,6 +182,11 @@ class Problem:
     sources: Claims
 
     @cached_property
+    def keys(self) -> np.ndarray:
+        """Each cid's key ``object code · |values| + value code``; sorted."""
+        return self.obj_of_cand * len(self.index.levels[1]) + self.index.codes[1]
+
+    @cached_property
     def source_rows(self) -> tuple:
         """The sources' E-step rows (:func:`side_rows`), shared by every local fit."""
         return side_rows(self, self.sources, popularity=False)
@@ -182,10 +243,12 @@ def count_groups(start: np.ndarray, nV: np.ndarray) -> list[tuple[int, np.ndarra
     return out
 
 
-def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
-    """Integer-code ``records`` (object, source, value) and ``anc_pairs``
-    (object, value, anc) into the arrays both TDH engines and the
-    assigners share.
+def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame | Hierarchy) -> Problem:
+    """Integer-code ``records`` (object, source, value) and their ancestor
+    pairs into the arrays both TDH engines and the assigners share. The
+    pairs are either (object, value, anc) rows or a :class:`Hierarchy`,
+    whose pairs (:func:`hierarchical_ancestor_pairs`) are walked on the
+    records' own codes, so that the names are coded once.
 
     Objects and values are coded by their rank among the sorted distinct
     names, and the cid of a candidate is the rank of its key ``object code
@@ -203,8 +266,9 @@ def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
     )
     n_obj, n_cand = len(objects), len(keys)
     nV = np.bincount(obj_of_cand, minlength=n_obj)
-    anc = np.zeros((0, 2), dtype=np.int64)
-    if len(anc_pairs):
+    if isinstance(anc_pairs, Hierarchy):
+        desc, up = _tree_pairs(anc_pairs, values, keys)
+    else:
         o = objects.get_indexer(anc_pairs["object"])
         desc = _lookup(keys, len(values), o, values.get_indexer(anc_pairs["value"]))
         up = _lookup(keys, len(values), o, values.get_indexer(anc_pairs["anc"]))
@@ -212,8 +276,7 @@ def compile_problem(records: pd.DataFrame, anc_pairs: pd.DataFrame) -> Problem:
         if len(bad):
             o, v, a = anc_pairs[["object", "value", "anc"]].iloc[bad[0]]
             raise ValueError(f"ancestor pair ({o},{v},{a}) not in candidate set")
-        key = np.unique(desc * n_cand + up)
-        anc = np.stack([key // n_cand, key % n_cand], axis=1)
+    anc = np.stack(_sorted_pairs(desc, up, n_cand), axis=1)
     oh = np.zeros(n_obj, dtype=bool)
     oh[obj_of_cand[anc[:, 0]]] = True
     sources = _code(records, "source", obj, rec_cid)
@@ -275,9 +338,8 @@ def answer_claims(
 def cids(problem: Problem, objects, values) -> np.ndarray:
     """The cid of each (object, value) name pair, -1 for a non-candidate."""
     obj_names, val_names = problem.index.levels
-    keys = problem.obj_of_cand * len(val_names) + problem.index.codes[1]
     o, v = obj_names.get_indexer(objects), val_names.get_indexer(values)
-    return _lookup(keys, len(val_names), o, v)
+    return _lookup(problem.keys, len(val_names), o, v)
 
 
 def positions(names: list[str], lookup: list[str]) -> np.ndarray:
@@ -368,7 +430,7 @@ def expand(problem: Problem, claim_cid: np.ndarray, popularity: bool):
     row, cand = claim_grid(p, claim_cid)
     claim, o = claim_cid[row], p.obj_of_cand[claim_cid][row]
     exact = cand == claim
-    general = np.isin(cand * n_cand + claim, p.anc[:, 0] * n_cand + p.anc[:, 1])
+    general = _lookup(p.anc[:, 0] * n_cand + p.anc[:, 1], n_cand, cand, claim) >= 0
     if popularity:
         c2 = _ratio(p.cnt[claim], p.gen_cnt[cand])
         c3 = _ratio(p.cnt[claim], p.S[o] - p.cnt[cand] - p.gen_cnt[cand])

@@ -14,14 +14,20 @@
 
 Per the paper, if the gold truth is not among the candidates, "the most
 specific candidate value among the ancestors of the truth is assumed to
-be ``t_o``" — :func:`map_gold_to_candidates` implements that.
+be ``t_o``" — :func:`map_gold_to_candidates` implements that, and
+:func:`map_gold` on a compiled problem's codes. Both, and
+:func:`gold_scorer`, work on integer codes: the gold truths step up the
+ancestor-at-depth table of :meth:`~repro.hierarchy.Hierarchy.arrays`
+(:func:`~repro.core.candidates.nearest_candidates`, on the walk that
+also gives the ancestor pairs), and ancestry and distance are read off
+that table.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.core.candidates import Problem, cids, ranges
+from repro.core.candidates import Problem, cids, code_candidates, nearest_candidates, ranges
 from repro.hierarchy import Hierarchy
 
 
@@ -34,19 +40,26 @@ def map_gold_to_candidates(
     ancestor either, the raw truth is kept (no algorithm can then score
     an exact hit, matching how a held-out gold standard behaves).
     """
-    cand_by_obj: dict[str, set[str]] = {}
-    for o, v in zip(candidates["object"], candidates["value"]):
-        cand_by_obj.setdefault(o, set()).add(v)
-    out = []
-    for o, t in zip(gold["object"], gold["truth"]):
-        cands = cand_by_obj.get(o, set())
-        mapped = t
-        if t not in cands:
-            ancs = [a for a in hierarchy.ancestors(t) if a in cands]
-            if ancs:  # ancestors() is nearest-first → most specific
-                mapped = ancs[0]
-        out.append((o, mapped))
-    return pd.DataFrame(out, columns=["object", "truth"])
+    _, objects, values, keys, _ = code_candidates(candidates)
+    at = nearest_candidates(hierarchy, objects, values, keys, gold["object"], gold["truth"])
+    return _mapped(gold, values.take(keys % len(values)), at)
+
+
+def map_gold(problem: Problem, gold: pd.DataFrame, hierarchy: Hierarchy) -> tuple[pd.DataFrame, np.ndarray]:
+    """:func:`map_gold_to_candidates` on the candidates of ``problem``,
+    and the cid each gold row maps to (-1 where the raw truth stays)."""
+    objects, values = problem.index.levels
+    at = nearest_candidates(hierarchy, objects, values, problem.keys, gold["object"], gold["truth"])
+    return _mapped(gold, problem.cand["value"], at), at
+
+
+def _mapped(gold: pd.DataFrame, cand_values, at: np.ndarray) -> pd.DataFrame:
+    """(object, truth) rows of ``gold`` with each truth replaced by the
+    value of candidate ``at`` where it is not -1."""
+    truth = gold["truth"].to_numpy(copy=True)
+    hit = at >= 0
+    truth[hit] = np.asarray(cand_values)[at[hit]]
+    return pd.DataFrame({"object": gold["object"].to_numpy(), "truth": truth})
 
 
 def _truth_dict(truths: pd.DataFrame) -> dict[str, str]:
@@ -98,20 +111,34 @@ def gold_scorer(problem: Problem, gold: pd.DataFrame, hierarchy: Hierarchy):
 
     Once: each candidate's exact hits, generalized hits and distance to the
     gold truth (the height where a value is not in the hierarchy), summed
-    over its object's gold rows. Per call: those integers gathered at the
-    cids, plus the height for each gold row whose object has no truth.
+    over its object's gold rows, from the :meth:`Hierarchy.arrays` table:
+    ``v`` is a proper ancestor of ``t`` iff ``depth[v] < depth[t]`` and
+    ``up[t, depth[v]] == v``, and their lowest common ancestor's depth is
+    the last depth at which ``up[v]`` and ``up[t]`` agree. Per call: those
+    integers gathered at the cids, plus the height for each gold row whose
+    object has no truth.
     """
-    n, height = len(gold), hierarchy.height
-    g = pd.Index(problem.objects).get_indexer(gold["object"])
-    g, truth = g[g >= 0], gold["truth"].to_numpy()[g >= 0]
+    n, height, tree = len(gold), hierarchy.height, hierarchy.arrays()
+    objects, values = problem.index.levels
+    g = objects.get_indexer(gold["object"])
+    truth = gold["truth"].to_numpy()[g >= 0]
+    g = g[g >= 0]
     row, cid = ranges(problem.start[g], problem.nV[g].astype(np.int64))
-    counts = []
-    for v, t in zip(problem.cand["value"].to_numpy()[cid], truth[row]):
-        known = v in hierarchy and t in hierarchy
-        gen = v == t or (known and hierarchy.is_ancestor(v, t))
-        counts.append((v == t, gen, hierarchy.distance(v, t) if known else height))
-    table = np.zeros((3, len(problem.cand)), dtype=np.int64)
-    np.add.at(table, (slice(None), cid), np.asarray(counts, dtype=np.int64).reshape(-1, 3).T)
+    val = np.asarray(problem.index.codes[1])[cid]
+    exact = val == values.get_indexer(truth)[row]
+    v, t = tree.names.get_indexer(values)[val], tree.names.get_indexer(truth)[row]
+    known = (v >= 0) & (t >= 0)
+    v, t = v[known], t[known]
+    dv, dt = tree.depth[v], tree.depth[t]
+    gen = exact.copy()
+    gen[known] |= (dv < dt) & (tree.up[t, dv] == v)
+    # the rows agree from the root down to the lowest common ancestor
+    lca = ((tree.up[v] == tree.up[t]) & (tree.up[v] >= 0)).sum(axis=1) - 1
+    dist = np.full(len(cid), height, dtype=np.int64)
+    dist[known] = dv + dt - 2 * lca
+    table = np.stack(
+        [np.bincount(cid, w, minlength=len(problem.cand)) for w in (exact, gen, dist)]
+    ).astype(np.int64)
     n_gold = np.bincount(g, minlength=len(problem.objects))
 
     def score(at: np.ndarray) -> tuple[float, float, float]:

@@ -6,14 +6,19 @@ each round every worker receives ``k`` questions (default 10 workers ×
 uniformly random candidate), and inference re-runs on the grown answer
 set. Per-round Accuracy / GenAccuracy / AvgDistance are recorded.
 
-A run compiles its problem once (V_o comes from the sources only) and
-keeps its answers as codes: each answer's object code, its worker's
+A run codes the records' names once: it compiles its problem from the
+records and the hierarchy, whose ancestor pairs, the §5 gold mapping and
+the gold scorer's table come from the tree's arrays
+(:meth:`~repro.hierarchy.Hierarchy.arrays`); ``RoundLog.timings`` reports
+that set-up as round 0's ``setup_s``. V_o comes from the sources only, and
+the run keeps its answers as codes: each answer's object code, its worker's
 position in the worker list and its cid, the position of the answer in its
 object's candidates (:class:`_Answers`), with the workers × objects mask
 of what each worker has answered, which the assigners take.
 :func:`repro.eval.metrics.gold_scorer` scores each round's truths by their
-cids. Names are built at the edges of the run only: the answers frame of
-:class:`RoundLog` once, at the end.
+cids. Names are built at the edges of the run only: the mapped gold frame
+once, at the start, and the answers frame of :class:`RoundLog` once, at
+the end.
 
 The algorithms differ only in their :data:`INFERENCE` entry. TDH
 (:class:`_Coded`) refits EM on the answers as coded claims, warm from the
@@ -53,8 +58,6 @@ from repro.core.candidates import (
     Problem,
     answer_claims,
     argmax_cids,
-    candidate_sets,
-    cids,
     compile_problem,
     hierarchical_ancestor_pairs,
 )
@@ -148,22 +151,30 @@ class _Named:
         return res
 
 
-# name -> (dataset, its compiled problem, its ancestor pairs) -> the run's
+# name -> (dataset, its compiled problem) -> the run's
 # algorithm: fit(answers, previous round's fit or None), and how the loop
 # reads truth cids and EM iterations from a fit, and the run's final
 # InferenceResult. Every baseline's result.mu covers the problem's objects in
 # its sorted order, so the assigners of every algorithm take the answered mask.
 INFERENCE: dict[str, Callable] = {
-    "TDH": lambda ds, p, anc: _Coded(p),
-    "VOTE": lambda ds, p, anc: _Named(p, partial(vote, ds.records)),
-    "LCA": lambda ds, p, anc: _Named(p, partial(lca, ds.records)),
-    "DOCS": lambda ds, p, anc: _Named(p, partial(docs, ds.records, hierarchy=ds.hierarchy)),
-    "ACCU": lambda ds, p, anc: _Named(p, partial(accu, ds.records, max_iter=6)),
-    "POPACCU": lambda ds, p, anc: _Named(p, partial(popaccu, ds.records, max_iter=6)),
-    "ASUMS": lambda ds, p, anc: _Named(p, partial(asums, ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)),
-    "CRH": lambda ds, p, anc: _Named(p, partial(crh, ds.records)),
-    "MDC": lambda ds, p, anc: _Named(p, partial(mdc, ds.records)),
-    "LFC": lambda ds, p, anc: _Named(p, partial(lfc, ds.records)),
+    "TDH": lambda ds, p: _Coded(p),
+    "VOTE": lambda ds, p: _Named(p, partial(vote, ds.records)),
+    "LCA": lambda ds, p: _Named(p, partial(lca, ds.records)),
+    "DOCS": lambda ds, p: _Named(p, partial(docs, ds.records, hierarchy=ds.hierarchy)),
+    "ACCU": lambda ds, p: _Named(p, partial(accu, ds.records, max_iter=6)),
+    "POPACCU": lambda ds, p: _Named(p, partial(popaccu, ds.records, max_iter=6)),
+    "ASUMS": lambda ds, p: _Named(
+        p,
+        partial(
+            asums,
+            ds.records,
+            anc_pairs=hierarchical_ancestor_pairs(ds.candidates(), ds.hierarchy),
+            hierarchy=ds.hierarchy,
+        ),
+    ),
+    "CRH": lambda ds, p: _Named(p, partial(crh, ds.records)),
+    "MDC": lambda ds, p: _Named(p, partial(mdc, ds.records)),
+    "LFC": lambda ds, p: _Named(p, partial(lfc, ds.records)),
 }
 ASSIGNERS = {
     "EAI": eai_assign,
@@ -197,7 +208,9 @@ class RoundLog:
     history: pd.DataFrame
     final: InferenceResult
     answers: pd.DataFrame
-    # round, then the seconds of its stages in loop order (round 0 only fits
+    # round, then the seconds of its stages in loop order: the run's set-up
+    # before round 0's fit (compile, gold mapping and scorer; round 0 only),
+    # then context, assignment, answers, fit and scoring (round 0 only fits
     # and scores); kept out of ``history``, which repeated runs reproduce
     timings: pd.DataFrame
 
@@ -215,21 +228,20 @@ def run_crowdsourcing(
     workers: list[SimulatedWorker] | None = None,
 ) -> RoundLog:
     """Run the Fig. 2 loop and log quality per round (round 0 = no crowd)."""
+    start = _now()
     if assign_name not in FEASIBLE.get(infer_name, set()):
         raise ValueError(f"combination {infer_name}+{assign_name} is infeasible (Table 4 '-')")
     assigner = ASSIGNERS[assign_name]
     rng = np.random.default_rng(seed)
     if workers is None:
         workers = simulate_workers(n_workers, pi_p=pi_p, seed=seed + 1)
-    cand = candidate_sets(ds.records)
-    anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
-    problem = compile_problem(ds.records, anc)
-    infer = INFERENCE[infer_name](ds, problem, anc)
-    gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
+    problem = compile_problem(ds.records, ds.hierarchy)
+    infer = INFERENCE[infer_name](ds, problem)
+    gold, g = M.map_gold(problem, ds.gold, ds.hierarchy)
     score = M.gold_scorer(problem, gold, ds.hierarchy)
     objects = problem.index.levels[0]
     # each object's gold candidate as a position among its candidates, -1 if none
-    o, g = objects.get_indexer(gold["object"]), cids(problem, gold["object"], gold["truth"])
+    o = objects.get_indexer(gold["object"])
     gold_at = np.full(len(objects), -1)
     gold_at[o[o >= 0]] = np.where(g >= 0, g - problem.start[o], -1)[o >= 0]
     by_id = {w.worker: w for w in workers}
@@ -241,7 +253,7 @@ def run_crowdsourcing(
     res = infer.fit(answers, None)
     t.append(_now())
     history = [(0, *score(infer.truths(res)), 0, *infer.em(res))]
-    timings = [(0, 0.0, 0.0, 0.0, t[1] - t[0], _now() - t[1])]
+    timings = [(0, t[0] - start, 0.0, 0.0, 0.0, t[1] - t[0], _now() - t[1])]
     for r in range(1, rounds + 1):
         t = [_now()]
         ctx = AssignContext(result=res, workers=names, k=k, answers=answers.answered, rng=rng)
@@ -258,9 +270,9 @@ def run_crowdsourcing(
         t.append(_now())
         history.append((r, *score(infer.truths(res)), len(answers), *infer.em(res)))
         t.append(_now())
-        timings.append((r, *np.diff(t)))
+        timings.append((r, 0.0, *np.diff(t)))
     columns = ["round", "accuracy", "gen_accuracy", "avg_distance", "n_answers", "n_iter", "converged"]
-    stages = ["round", "context_s", "assign_s", "answer_s", "fit_s", "score_s"]
+    stages = ["round", "setup_s", "context_s", "assign_s", "answer_s", "fit_s", "score_s"]
     return RoundLog(
         pd.DataFrame(history, columns=columns),
         infer.final(res),

@@ -4,11 +4,34 @@ The paper assumes a hierarchy tree ``H`` of claimed values (e.g., a
 geographical hierarchy). This module provides the tree abstraction used
 by every other component: ancestor/descendant queries (``G_o(v)`` /
 ``D_o(v)`` in the paper), tree distance for the *AvgDistance* metric,
-and the transitive closure as a set of (descendant, ancestor) pairs.
+the transitive closure as a set of (descendant, ancestor) pairs, and
+:meth:`Hierarchy.arrays`, the integer view (node codes, depths and the
+ancestor-at-depth table) that the ancestor pairs, the gold mapping and
+the gold scorer walk instead of querying the tree node by node.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
+import pandas as pd
+
 ROOT = "ROOT"
+
+
+class TreeArrays(NamedTuple):
+    """A :class:`Hierarchy` as integer arrays. A node's code is its rank
+    among the sorted node names (``names.get_indexer`` codes names, -1
+    outside the tree); ``depth[n]`` is its depth and ``up[n, d]`` its
+    ancestor at depth ``d`` (``n`` itself at ``depth[n]``, -1 below it).
+
+    ``a`` is a proper ancestor of ``n`` iff ``depth[a] < depth[n]`` and
+    ``up[n, depth[a]] == a``; the depth of their lowest common ancestor is
+    the last depth at which the rows ``up[a]`` and ``up[n]`` agree."""
+
+    names: pd.Index
+    depth: np.ndarray
+    up: np.ndarray  # nodes × (height + 1)
 
 
 class Hierarchy:
@@ -31,6 +54,7 @@ class Hierarchy:
                 raise ValueError(f"parent {p!r} of {n!r} is not a node")
         self._parent = dict(parent)
         self._closure: frozenset[tuple[str, str]] | None = None
+        self._arrays: TreeArrays | None = None
         self._depth: dict[str, int] = {}
         for n in parent:
             self._compute_depth(n)
@@ -152,3 +176,21 @@ class Hierarchy:
                 pairs.add((n, a))
         self._closure = frozenset(pairs)
         return self._closure
+
+    def arrays(self) -> TreeArrays:
+        """The tree as :class:`TreeArrays`, built one depth at a time.
+
+        Memoized per instance (the tree is immutable).
+        """
+        if self._arrays is None:
+            names = pd.Index(self.nodes)
+            depth = np.array([self._depth[n] for n in names], dtype=np.int64)
+            up = np.full((len(names), self._height + 1), -1, dtype=np.int64)
+            for d in range(self._height + 1):
+                level = self._at_depth[d]
+                at = names.get_indexer(level)
+                if d:
+                    up[at, :d] = up[names.get_indexer([self._parent[n] for n in level]), :d]
+                up[at, d] = at
+            self._arrays = TreeArrays(names, depth, up)
+        return self._arrays

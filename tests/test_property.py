@@ -66,3 +66,16 @@ def test_coarser_rounding_is_ancestor(x):
     if rounds_to(fine, coarse) and fine != coarse:
         assert is_numeric_ancestor(coarse, fine)
         assert not is_numeric_ancestor(fine, coarse)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_hierarchy())
+def test_arrays_agree_with_the_tree(h):
+    t = h.arrays()
+    assert list(t.names) == h.nodes and t.up.shape == (len(h), h.height + 1)
+    for c, n in enumerate(t.names):
+        d = h.depth(n)
+        assert t.depth[c] == d
+        path = [n, *h.ancestors(n, include_root=True)][::-1]  # root first
+        assert [t.names[a] for a in t.up[c, : d + 1]] == path
+        assert (t.up[c, d + 1 :] == -1).all()

@@ -15,6 +15,7 @@ from repro.datagen.truthdata import birthplaces_lite, heritages_lite
 from repro.datagen.workers import simulate_workers
 from repro.eval import metrics as M
 from repro.eval.simulate import ASSIGNERS, FEASIBLE, INFERENCE, run_crowdsourcing
+from repro.hierarchy import Hierarchy
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +50,12 @@ class TestLoop:
         assert set(h.columns) >= {"accuracy", "gen_accuracy", "avg_distance", "n_answers"}
         # stage seconds per round, kept out of the history repeated runs reproduce
         stages = ["context_s", "assign_s", "answer_s", "fit_s", "score_s"]
-        assert list(log.timings.columns) == ["round", *stages]
+        assert list(log.timings.columns) == ["round", "setup_s", *stages]
         assert list(log.timings["round"]) == [0, 1, 2]
         assert (log.timings[stages] >= 0).all().all() and (log.timings.loc[1:, stages] > 0).all().all()
-        assert not set(stages) & set(log.history.columns)
+        # the run's set-up before round 0's fit, in round 0 only
+        assert log.timings["setup_s"].iloc[0] > 0 and (log.timings.loc[1:, "setup_s"] == 0).all()
+        assert not {"setup_s", *stages} & set(log.history.columns)
 
     def test_answers_accumulate(self, ds):
         log = run_crowdsourcing(ds, "TDH", "ME", rounds=3, n_workers=3, k=2, seed=0)
@@ -233,3 +236,22 @@ def test_tdh_run_packages_once(ds, monkeypatch, assign, rounds):
     calls = _count_calls(monkeypatch, tdh_local, "_package")
     log = run_crowdsourcing(ds, "TDH", assign, rounds=rounds, n_workers=3, k=2, seed=0)
     assert len(calls) == 1 and log.final.extras["n_iter"] == log.history["n_iter"].iloc[-1]
+
+
+@pytest.mark.parametrize("assign", ["EAI", "QASCA", "ME"])
+def test_tdh_run_sets_up_on_codes(ds, monkeypatch, assign):
+    """A TDH run codes the records' names once and asks the hierarchy no
+    node-by-node question: ancestor pairs, gold mapping and gold scores come
+    from the tree's arrays."""
+    coded = _count_calls(monkeypatch, candidates, "code_candidates")
+    queries = []
+    for name in ("distance", "ancestors", "is_ancestor"):
+        original = getattr(Hierarchy, name)
+
+        def counted(self, *args, _original=original, **kw):
+            queries.append(1)
+            return _original(self, *args, **kw)
+
+        monkeypatch.setattr(Hierarchy, name, counted)
+    run_crowdsourcing(ds, "TDH", assign, rounds=2, n_workers=3, k=2, seed=0)
+    assert len(coded) == 1 and len(queries) == 0
