@@ -1,5 +1,7 @@
 """Benchmark for Table 4: one crowdsourcing round (inference + EAI
 assignment) and the Lemma 4.1 pruning benefit (cf. Figure 13)."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,7 @@ def fitted(ds):
 
 
 def _copy(res):
-    from repro.core.result import InferenceResult
-
-    return InferenceResult(
-        truths=res.truths, mu=res.mu, phi=res.phi, psi=res.psi, N=res.N, D=res.D,
-        worker_accuracy=res.worker_accuracy,
-        extras={k: v for k, v in res.extras.items() if not k.startswith("_")},
-    )
+    return dataclasses.replace(res, extras={k: v for k, v in res.extras.items() if not k.startswith("_")})
 
 
 def test_crowdsourcing_round_tdh_eai(benchmark, ds):

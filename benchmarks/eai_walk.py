@@ -26,8 +26,8 @@ from repro.assign.eai import eai_table
 def heap_walk(ctx: AssignContext, *, use_pruning: bool = True) -> dict[str, list[str]]:
     """Algorithm 1 (with the Lemma 4.1 pruning; disable to measure its
     benefit, cf. Figure 13)."""
-    if ctx.N is None:
-        raise ValueError("EAI requires a TDH result with N/D tables")
+    if ctx.D is None:
+        raise ValueError("EAI requires a TDH result: it reads Eq. (9)'s D")
     Q, U = eai_table(ctx)
     quality, answered = Q.tolist(), ctx.answered.tolist()  # the walk reads single entries
     objects = ctx.objects

@@ -1,7 +1,7 @@
 """Task-assignment job: a TDH Spark fit, then EAI's Algorithm 1.
 
-The Eq. (9) numerator/denominator tables come from the TDH Spark fit;
-the EAI table and Algorithm 1's per-worker selections, which are
+The confidences mu and Eq. (9)'s denominator D come from the TDH Spark
+fit; the EAI table and Algorithm 1's per-worker selections, which are
 sequential over workers, run locally on the collected result.
 
 Usage: spark-submit jobs/assign_tasks.py [--dataset bp|her] [--sf 0.1] [--k 5]

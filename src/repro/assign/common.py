@@ -57,8 +57,8 @@ class AssignContext:
       workers) and ``acc`` (W, the scalar worker accuracy, 0.7 if
       unseen), aligned with ``workers``;
     * ``answered`` (W × |O|): worker j already answered object i;
-    * TDH results only: the fit's compiled ``problem`` and its ``N``
-      (per row, ``mu·D``) and ``D`` (per object) arrays; else ``None``.
+    * TDH results only: the fit's compiled ``problem`` and its Eq. (9)
+      denominator ``D`` (per object); else ``None``.
     """
 
     result: InferenceResult | EMState
@@ -76,12 +76,11 @@ class AssignContext:
             self.problem = p = res.problem
             self.objects, self.start, self.nV = p.objects, p.start, p.nV.astype(np.int64)
             self.mu, self.D = res.mu, res.D
-            self.N = res.mu * res.D[p.obj_of_cand]  # as repro.core.tdh_local._package forms it
             psi, acc = (res.workers, res.psi), (res.workers, None if res.psi is None else res.psi[:, :1])
             object_index = p.index.levels[0]
         else:
             mu = res.mu
-            self.problem = self.N = self.D = None
+            self.problem = self.D = None
             obj, val = mu["object"].to_numpy(), mu["value"].to_numpy()
             new = obj[1:] != obj[:-1]
             if not ((obj[1:] >= obj[:-1]).all() and (val[1:][~new] > val[:-1][~new]).all()):

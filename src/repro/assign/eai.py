@@ -3,8 +3,9 @@
 Implements:
 
 * the **incremental EM** estimate of the conditional confidence with one
-  additional answer (Eq. 16–18), from ``N_ov = mu_ov·D_o`` and ``D_o`` of
-  EM's last map, the sufficient statistics of the current estimate;
+  additional answer (Eq. 16–18), from EM's last map: its denominator
+  ``D_o`` and its numerator ``N_ov = mu_ov·D_o``, formed from mu and D
+  where it is read;
 * the quality measure ``EAI(w, o)`` (Eq. 14–15);
 * the **upper bound** ``U_EAI(o) = (1 - max_v mu_ov) / (|O|·(D_o+1))``
   of Lemma 4.1;
@@ -45,12 +46,13 @@ def eai_table(ctx: AssignContext) -> tuple[np.ndarray, np.ndarray]:
     Q = np.zeros((len(ctx.workers), n_obj))
     objs, vp_at, v, B, row_start, first = p.movable_pairs
     if len(objs):
+        N = ctx.mu * ctx.D[p.obj_of_cand]  # Eq. (9)'s numerator of the map that produced mu
         X = ctx.psi @ B  # A[v', v] of every worker, one row per worker
         X *= ctx.mu[v]
         pv = np.add.reduceat(X, row_start, axis=1)  # P(v_o^w = v' | psi_w, mu_o), Eq. (6)
         pv_safe = np.where(pv > 0, pv, 1.0)
         X /= np.take(pv_safe, vp_at, axis=1)  # f^v_{o,w|v'} of Eq. (16)
-        X += ctx.N[v]
+        X += N[v]
         X /= ctx.D[p.obj_of_cand[v]] + 1.0  # mu_{o,v|w,v'}, Eq. (18)
         best = np.maximum.reduceat(X, row_start, axis=1)
         gain = np.add.reduceat(pv * best, first, axis=1)  # Eq. (15)
@@ -73,8 +75,8 @@ def eai_assign(ctx: AssignContext) -> dict[str, list[str]]:
     ``k`` objects with the highest EAI that it has not answered and no
     earlier worker took (ties → higher U_EAI, then object id); every
     worker's objects are listed in id order."""
-    if ctx.N is None:
-        raise ValueError("EAI requires a TDH result with N/D tables")
+    if ctx.D is None:
+        raise ValueError("EAI requires a TDH result: it reads Eq. (9)'s D")
     Q, U = eai_table(ctx)
     order = np.argsort(-ctx.psi[:, 0], kind="stable")
     return {w: sorted(objs) for w, objs in top_k(ctx, order, Q, then=U, exclusive=True).items()}

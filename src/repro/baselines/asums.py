@@ -26,13 +26,15 @@ def asums(
     records: pd.DataFrame,
     answers: pd.DataFrame | None = None,
     *,
-    anc_pairs: pd.DataFrame,
     hierarchy: Hierarchy,
     max_iter: int = 20,
     threshold: float = 0.4,
 ) -> InferenceResult:
-    """Hierarchy-aware Sums; a value outside ``hierarchy`` has depth 0."""
-    layout = ClaimLayout(records, answers, anc_pairs)
+    """Hierarchy-aware Sums over the claims of ``records`` and
+    ``answers``, whose candidate ancestor pairs are read off ``hierarchy``
+    (:class:`~repro.baselines.claims.ClaimLayout`); a value outside
+    ``hierarchy`` has depth 0 and no ancestors."""
+    layout = ClaimLayout(records, answers, hierarchy)
     p = layout.problem
     n_cand, n_sources = len(p.cand), len(layout.sources)
 

@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.candidates import Problem, argmax_cids, claim_grid, compile_problem
+from repro.hierarchy import Hierarchy
 
 
 def fold_answers(records: pd.DataFrame, answers: pd.DataFrame | None) -> pd.DataFrame:
@@ -39,20 +40,18 @@ def fold_answers(records: pd.DataFrame, answers: pd.DataFrame | None) -> pd.Data
 class ClaimLayout:
     """Records and answers folded into one claim list and integer-coded.
 
+    The problem's ancestor pairs are walked on ``hierarchy`` over the
+    claims' own codes; without a hierarchy it has none.
     Raises ``ValueError`` on a repeated (object, source) pair, as
     :func:`~repro.core.candidates.compile_problem` does.
     """
 
     def __init__(
-        self,
-        records: pd.DataFrame,
-        answers: pd.DataFrame | None,
-        anc_pairs: pd.DataFrame | None = None,
+        self, records: pd.DataFrame, answers: pd.DataFrame | None, hierarchy: Hierarchy | None = None
     ):
         self.claims = fold_answers(records, answers)
-        if anc_pairs is None:
-            anc_pairs = pd.DataFrame(columns=["object", "value", "anc"])
-        self.problem: Problem = compile_problem(self.claims, anc_pairs)
+        pairs = pd.DataFrame(columns=["object", "value", "anc"]) if hierarchy is None else hierarchy
+        self.problem: Problem = compile_problem(self.claims, pairs)
         #: claimed candidate of each claim, in claim order
         self.cid = self.problem.index.get_indexer(
             pd.MultiIndex.from_frame(self.claims[["object", "value"]])

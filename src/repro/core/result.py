@@ -23,13 +23,14 @@ class InferenceResult:
     phi / psi:
         (source, phi1..3) / (worker, psi1..3) trustworthiness
         distributions; ``None`` for algorithms that do not model them.
-    N / D:
-        The numerator table (object, value, N) and denominator table
-        (object, D) of the paper's Eq. (9), kept for the incremental EM
-        of the EAI task assigner (Eq. 17–18). ``None`` for baselines.
+    D:
+        (object, D) — the denominator of the paper's Eq. (9), from which
+        with ``mu`` the EAI task assigner's incremental EM (Eq. 17–18)
+        forms the numerator ``N = mu·D``. ``None`` for baselines.
     worker_accuracy:
-        (worker, acc) — scalar worker reliability for algorithms with a
-        symmetric worker model (used by QASCA/MB with baselines).
+        (worker, acc) — scalar worker reliability of a baseline with a
+        symmetric worker model (used by QASCA/MB). ``None`` for TDH,
+        whose accuracy is ``psi1``.
     extras:
         Algorithm-specific state. TDH results (both engines) hold
         ``n_iter``, the E-steps EM ran; ``converged``, True when the
@@ -38,15 +39,14 @@ class InferenceResult:
         ``objective`` and the ``max_dmu`` of the EM map at every E-step
         EM kept (:meth:`repro.core.tdh_local.TDH._em`); and the compiled ``problem``
         (:class:`repro.core.candidates.Problem`);
-        their ``mu`` and ``N`` rows are in the problem's candidate order
-        and ``D`` rows in its object order, which the EAI assigner relies on.
+        their ``mu`` rows are in the problem's candidate order and ``D``
+        rows in its object order, which the EAI assigner relies on.
     """
 
     truths: pd.DataFrame
     mu: pd.DataFrame
     phi: pd.DataFrame | None = None
     psi: pd.DataFrame | None = None
-    N: pd.DataFrame | None = None
     D: pd.DataFrame | None = None
     worker_accuracy: pd.DataFrame | None = None
     extras: dict = field(default_factory=dict)

@@ -30,7 +30,8 @@ E-step as a callable ``(mu, phi, psi) -> (mu_num, g_src, g_wrk,
 loglik)``: :class:`TDH` runs :func:`_estep` on the whole relation, one
 block, and :class:`repro.core.tdh_spark.TDHSpark` maps it over object
 blocks on Spark. A fit runs ``n_iter`` E-steps and no more: Eq. (9)'s
-numerator is ``N = mu * D`` of the last map (:func:`_package`).
+numerator of the last map is ``mu * D``, which EAI forms from the fit's
+mu and D (:func:`repro.assign.eai.eai_table`).
 
 :meth:`TDH._em` returns an :class:`EMState`: the (mu, phi, psi) arrays,
 the names of psi's workers, D, ``n_iter``, ``converged`` and the trace.
@@ -63,6 +64,7 @@ from repro.core.candidates import (
     side_rows,
 )
 from repro.core.result import InferenceResult
+from repro.hierarchy import Hierarchy
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class TDH:
         self,
         records: pd.DataFrame,
         answers: pd.DataFrame | None,
-        anc_pairs: pd.DataFrame,
+        anc_pairs: pd.DataFrame | Hierarchy,
     ) -> InferenceResult:
         """Run EM to convergence and return the MAP estimate.
 
@@ -115,7 +117,8 @@ class TDH:
         answers: (object, worker, value) or None — worker answers; values
             must be candidates of their object.
         anc_pairs: (object, value, anc) — per-object candidate ancestor
-            pairs (``anc ∈ G_o(value)``).
+            pairs (``anc ∈ G_o(value)``) — or the :class:`Hierarchy` they
+            are walked on (:func:`~repro.core.candidates.compile_problem`).
         """
         return self.fit_problem(compile_problem(records, anc_pairs), answers)
 
@@ -298,23 +301,17 @@ def _add(a: tuple, b: tuple) -> tuple:
 def _package(state: EMState) -> InferenceResult:
     """``state`` as the frames of an :class:`InferenceResult`."""
     p, mu, phi, psi = state.problem, state.mu, state.phi, state.psi
-    # Eq. (9) numerator of the map that produced mu, for EAI's incremental EM:
-    # Eq. (18) without an added answer gives mu back.
-    N = mu * state.D[p.obj_of_cand]
-    # the problem's name columns, shared (not copied) by mu, N, D and truths
+    # the problem's name columns, shared (not copied) by mu, D and truths
     obj, val, objects = p.cand["object"], p.cand["value"], p.index.levels[0].to_numpy()
-    psi_df = wacc = None
+    psi_df = None
     if psi is not None:
         psi_df = pd.DataFrame({"worker": state.workers, **{f"psi{r}": psi[:, r - 1] for r in (1, 2, 3)}})
-        wacc = pd.DataFrame({"worker": state.workers, "acc": psi[:, 0]})
     return InferenceResult(
         truths=pd.DataFrame({"object": objects, "value": val.to_numpy()[argmax_cids(p, mu)]}, copy=False),
         mu=pd.DataFrame({"object": obj, "value": val, "mu": mu}, copy=False),
         phi=pd.DataFrame({"source": p.sources.agents, **{f"phi{r}": phi[:, r - 1] for r in (1, 2, 3)}}),
         psi=psi_df,
-        N=pd.DataFrame({"object": obj, "value": val, "N": N}, copy=False),
         D=pd.DataFrame({"object": objects, "D": state.D}, copy=False),
-        worker_accuracy=wacc,
         extras={
             "n_iter": state.n_iter,
             "converged": state.converged,

@@ -16,8 +16,8 @@ the M-step are global. :meth:`TDHSpark.fit` therefore:
 3. runs the local engine's EM loop (``TDH._em``), whose E-step broadcasts
    (mu, phi, psi) and runs ``blocks.map(_estep_task(params)).reduce(_add)``:
    one Spark job per E-step, ``n_iter`` in all. The M-step, the SQUAREM
-   extrapolation, the convergence test and the packaging (with Eq. (9)'s
-   ``N = mu * D``) are the local engine's.
+   extrapolation, the convergence test and the packaging (mu and Eq. (9)'s
+   denominator D) are the local engine's.
 
 The parameters stay on the driver (O(|candidates| + |S| + |W|)) and the
 expanded claims on the executors, with constant lineage across

@@ -29,7 +29,7 @@ baselines (:class:`_Named`) are cold fits on the answers by name, read
 back by name.
 
 The registry pins the feasible inference × assignment combinations of
-Table 4 (EAI needs TDH's N/D tables, MB needs DOCS's domain model,
+Table 4 (EAI needs TDH's mu and Eq. (9)'s D, MB needs DOCS's domain model,
 QASCA needs a probabilistic confidence + worker model, ME works with
 every algorithm).
 """
@@ -53,14 +53,7 @@ from repro.baselines.lca import lca
 from repro.baselines.lfc import lfc
 from repro.baselines.mdc import mdc
 from repro.baselines.vote import vote
-from repro.core.candidates import (
-    Claims,
-    Problem,
-    answer_claims,
-    argmax_cids,
-    compile_problem,
-    hierarchical_ancestor_pairs,
-)
+from repro.core.candidates import Claims, Problem, answer_claims, argmax_cids, compile_problem
 from repro.core.result import InferenceResult
 from repro.core.tdh_local import TDH, EMState, _package
 from repro.datagen.truthdata import TruthDataset
@@ -163,15 +156,7 @@ INFERENCE: dict[str, Callable] = {
     "DOCS": lambda ds, p: _Named(p, partial(docs, ds.records, hierarchy=ds.hierarchy)),
     "ACCU": lambda ds, p: _Named(p, partial(accu, ds.records, max_iter=6)),
     "POPACCU": lambda ds, p: _Named(p, partial(popaccu, ds.records, max_iter=6)),
-    "ASUMS": lambda ds, p: _Named(
-        p,
-        partial(
-            asums,
-            ds.records,
-            anc_pairs=hierarchical_ancestor_pairs(ds.candidates(), ds.hierarchy),
-            hierarchy=ds.hierarchy,
-        ),
-    ),
+    "ASUMS": lambda ds, p: _Named(p, partial(asums, ds.records, hierarchy=ds.hierarchy)),
     "CRH": lambda ds, p: _Named(p, partial(crh, ds.records)),
     "MDC": lambda ds, p: _Named(p, partial(mdc, ds.records)),
     "LFC": lambda ds, p: _Named(p, partial(lfc, ds.records)),

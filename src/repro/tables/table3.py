@@ -15,7 +15,7 @@ from repro.baselines.lca import lca
 from repro.baselines.lfc import lfc
 from repro.baselines.mdc import mdc
 from repro.baselines.vote import vote
-from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
+from repro.core.candidates import candidate_sets
 from repro.core.tdh_local import TDH
 from repro.datagen.truthdata import TruthDataset, birthplaces_lite, heritages_lite
 from repro.eval import metrics as M
@@ -37,10 +37,10 @@ PAPER = {
 }
 
 
-def run_algorithm(name: str, ds: TruthDataset, anc: pd.DataFrame):
+def run_algorithm(name: str, ds: TruthDataset):
     """Dispatch one single-truth inference algorithm on a dataset."""
     if name == "TDH":
-        return TDH().fit(ds.records, None, anc)
+        return TDH().fit(ds.records, None, ds.hierarchy)
     if name == "VOTE":
         return vote(ds.records)
     if name == "LCA":
@@ -48,7 +48,7 @@ def run_algorithm(name: str, ds: TruthDataset, anc: pd.DataFrame):
     if name == "DOCS":
         return docs(ds.records, hierarchy=ds.hierarchy)
     if name == "ASUMS":
-        return asums(ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)
+        return asums(ds.records, hierarchy=ds.hierarchy)
     if name == "MDC":
         return mdc(ds.records)
     if name == "ACCU":
@@ -70,10 +70,8 @@ def table3(*, sf: float = 0.1, seed: int = 0, algorithms: list[str] | None = Non
     for name in algorithms or ALGORITHMS:
         row: dict = {"algorithm": name}
         for ds, tag in zip(datasets, ("bp", "her")):
-            cand = candidate_sets(ds.records)
-            anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
-            gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
-            res = run_algorithm(name, ds, anc)
+            gold = M.map_gold_to_candidates(ds.gold, candidate_sets(ds.records), ds.hierarchy)
+            res = run_algorithm(name, ds)
             row[f"{tag}_accuracy"] = M.accuracy(res.truths, gold)
             row[f"{tag}_gen_accuracy"] = M.gen_accuracy(res.truths, gold, ds.hierarchy)
             row[f"{tag}_avg_distance"] = M.avg_distance(res.truths, gold, ds.hierarchy)

@@ -10,7 +10,7 @@ import pandas as pd
 
 from repro.baselines.lfc import lfc_mt
 from repro.baselines.multitruth import dart, ltm
-from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
+from repro.core.candidates import candidate_sets
 from repro.datagen.truthdata import TruthDataset, birthplaces_lite, heritages_lite
 from repro.eval import metrics as M
 from repro.tables.table3 import ALGORITHMS as SINGLE_TRUTH
@@ -56,11 +56,9 @@ def table5(*, sf: float = 0.1, seed: int = 0, algorithms: list[str] | None = Non
             "kind": "single" if name in SINGLE_TRUTH else "multi",
         }
         for ds, tag in zip(datasets, ("bp", "her")):
-            cand = candidate_sets(ds.records)
-            anc = hierarchical_ancestor_pairs(cand, ds.hierarchy)
-            gold = M.map_gold_to_candidates(ds.gold, cand, ds.hierarchy)
+            gold = M.map_gold_to_candidates(ds.gold, candidate_sets(ds.records), ds.hierarchy)
             if name in SINGLE_TRUTH:
-                res = run_algorithm(name, ds, anc)
+                res = run_algorithm(name, ds)
                 predicted = {o: {v} for o, v in res.truth_map().items()}
             else:
                 predicted = _multi_truth_outputs(name, ds)

@@ -314,7 +314,7 @@ class TestEAI:
 
     def test_requires_nd_tables(self, ds):
         ctx = make_ctx(vote(ds.records))
-        with pytest.raises(ValueError, match="N/D"):
+        with pytest.raises(ValueError, match="TDH result"):
             eai_assign(ctx)
 
 
@@ -361,7 +361,8 @@ def dense_eq18(ctx, w, o):
     pv = A @ mu  # Eq. (6)
     pv_safe = np.where(pv > 0, pv, 1.0)
     F = A * mu[None, :] / pv_safe[:, None]  # Eq. (16)
-    return A, pv, mu, (ctx.N[sl][None, :] + F) / (float(ctx.D[i]) + 1.0)  # Eq. (18)
+    N = ctx.mu[sl] * ctx.D[i]  # Eq. (9)'s numerator
+    return A, pv, mu, (N[None, :] + F) / (float(ctx.D[i]) + 1.0)  # Eq. (18)
 
 
 def dense_eai(ctx, w, o):
@@ -387,18 +388,7 @@ def gains_nothing(ctx, w, o):
 
 def make_result_copy(res):
     """Shallow copy with fresh extras (assigners write counters into extras)."""
-    from repro.core.result import InferenceResult
-
-    return InferenceResult(
-        truths=res.truths,
-        mu=res.mu,
-        phi=res.phi,
-        psi=res.psi,
-        N=res.N,
-        D=res.D,
-        worker_accuracy=res.worker_accuracy,
-        extras={k: v for k, v in res.extras.items() if not k.startswith("_")},
-    )
+    return dataclasses.replace(res, extras={k: v for k, v in res.extras.items() if not k.startswith("_")})
 
 
 class TestQASCA:

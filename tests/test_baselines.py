@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.accu import _claim_pairs, _discount, accu, popaccu
 from repro.baselines.asums import asums, select_truths
+from repro.baselines import claims as claims_module
 from repro.baselines.claims import ClaimLayout, fold_answers
 from repro.baselines.crh import crh, crh_numeric
 from repro.baselines.docs import docs, domain_agents, object_domains
@@ -17,7 +18,7 @@ from repro.baselines.mdc import mdc
 from repro.baselines.multitruth import dart, ltm
 from repro.baselines.numeric import catd, chi2_quantile, mean_baseline
 from repro.baselines.vote import vote
-from repro.core.candidates import candidate_sets, hierarchical_ancestor_pairs
+from repro.core.candidates import candidate_sets, compile_problem, hierarchical_ancestor_pairs
 from repro.core.result import argmax_truths
 from repro.datagen.truthdata import birthplaces_lite, heritages_lite
 from repro.eval import metrics as M
@@ -32,11 +33,6 @@ def ds():
 @pytest.fixture(scope="module")
 def gold(ds):
     return M.map_gold_to_candidates(ds.gold, candidate_sets(ds.records), ds.hierarchy)
-
-
-@pytest.fixture(scope="module")
-def anc(ds):
-    return hierarchical_ancestor_pairs(candidate_sets(ds.records), ds.hierarchy)
 
 
 SIMPLE = pd.DataFrame(
@@ -498,17 +494,46 @@ class TestDOCS:
 
 
 class TestASUMS:
-    def test_consensus(self, ds, anc, gold):
-        res = asums(ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)
+    def test_consensus(self, ds, gold):
+        res = asums(ds.records, hierarchy=ds.hierarchy)
         assert M.accuracy(res.truths, gold) > 0.4
 
-    def test_threshold_controls_granularity(self, ds, anc):
+    def test_threshold_controls_granularity(self, ds):
         """Lower threshold → more specific (deeper) estimates on average."""
-        deep = asums(ds.records, anc_pairs=anc, hierarchy=ds.hierarchy, threshold=0.2)
-        shallow = asums(ds.records, anc_pairs=anc, hierarchy=ds.hierarchy, threshold=0.95)
+        deep = asums(ds.records, hierarchy=ds.hierarchy, threshold=0.2)
+        shallow = asums(ds.records, hierarchy=ds.hierarchy, threshold=0.95)
         d_deep = np.mean([ds.hierarchy.depth(v) for v in deep.truths["value"]])
         d_shallow = np.mean([ds.hierarchy.depth(v) for v in shallow.truths["value"]])
         assert d_deep >= d_shallow
+
+    @pytest.mark.parametrize("case", ["hand", "dataset"])
+    def test_pairs_read_off_the_hierarchy(self, monkeypatch, ds, answers, case):
+        """``asums`` walks its candidate ancestor pairs on ``hierarchy``: the
+        same pairs, truths and mu as a layout compiled from the
+        :func:`hierarchical_ancestor_pairs` frame, and the pairs matter (a
+        layout without them gives other truths)."""
+        if case == "hand":  # NY and LA claims support USA; Paris is outside the tree
+            h = Hierarchy({"ROOT": None, "USA": "ROOT", "NY": "USA", "LA": "USA", "UK": "ROOT", "London": "UK"})
+            records = pd.DataFrame(
+                [("o1", "s1", "NY"), ("o1", "s2", "USA"), ("o1", "s3", "LA"), ("o2", "s1", "London")]
+                + [("o2", "s2", "UK"), ("o2", "s3", "UK"), ("o3", "s1", "Paris"), ("o3", "s2", "NY")],
+                columns=["object", "source", "value"],
+            )
+            answers = pd.DataFrame([("o1", "w1", "NY"), ("o2", "w1", "London")], columns=["object", "worker", "value"])
+        else:
+            h, records = ds.hierarchy, ds.records
+        frame = hierarchical_ancestor_pairs(candidate_sets(records), h)
+        for ans in (None, answers):
+            got = asums(records, ans, hierarchy=h)
+            p = ClaimLayout(records, ans, h).problem
+            want = compile_problem(fold_answers(records, ans), frame)
+            assert len(p.anc) and np.array_equal(p.anc, want.anc) and np.array_equal(p.gen_cnt, want.gen_cnt)
+            for pairs, same in ((frame, True), (frame.iloc[:0], False)):
+                with monkeypatch.context() as m:
+                    m.setattr(claims_module, "compile_problem", lambda claims, _: compile_problem(claims, pairs))
+                    ref = asums(records, ans, hierarchy=h)
+                assert ref.truths.equals(got.truths) is same
+                assert ref.mu.equals(got.mu) is same
 
 
 class TestMultiTruth:
@@ -661,40 +686,40 @@ class TestClaimLayout:
     @pytest.mark.parametrize(
         "fit",
         [
-            lambda r, a, ds, anc: lca(r, a),
-            lambda r, a, ds, anc: docs(r, a, hierarchy=ds.hierarchy),
-            lambda r, a, ds, anc: mdc(r, a),
-            lambda r, a, ds, anc: accu(r, a),
-            lambda r, a, ds, anc: popaccu(r, a),
-            lambda r, a, ds, anc: asums(r, a, anc_pairs=anc, hierarchy=ds.hierarchy),
-            lambda r, a, ds, anc: vote(r, a),
-            lambda r, a, ds, anc: crh(r, a),
+            lambda r, a, ds: lca(r, a),
+            lambda r, a, ds: docs(r, a, hierarchy=ds.hierarchy),
+            lambda r, a, ds: mdc(r, a),
+            lambda r, a, ds: accu(r, a),
+            lambda r, a, ds: popaccu(r, a),
+            lambda r, a, ds: asums(r, a, hierarchy=ds.hierarchy),
+            lambda r, a, ds: vote(r, a),
+            lambda r, a, ds: crh(r, a),
         ],
         ids=["LCA", "DOCS", "MDC", "ACCU", "POPACCU", "ASUMS", "VOTE", "CRH"],
     )
     @pytest.mark.parametrize("where", ["records", "answers"])
-    def test_repeated_pair_rejected(self, ds, anc, answers, fit, where):
+    def test_repeated_pair_rejected(self, ds, answers, fit, where):
         records, ans = ds.records, answers
         if where == "records":
             records = pd.concat([records, records.iloc[:1]], ignore_index=True)
         else:
             ans = pd.concat([ans, ans.iloc[:1]], ignore_index=True)
         with pytest.raises(ValueError, match="at most one claim"):
-            fit(records, ans, ds, anc)
+            fit(records, ans, ds)
 
 
 class TestASUMSSelection:
     @pytest.mark.parametrize("threshold", [0.2, 0.4, 0.95])
-    def test_matches_loop(self, ds, anc, answers, threshold):
-        res = asums(ds.records, answers, anc_pairs=anc, hierarchy=ds.hierarchy, threshold=threshold)
+    def test_matches_loop(self, ds, answers, threshold):
+        res = asums(ds.records, answers, hierarchy=ds.hierarchy, threshold=threshold)
         depth_of = {v: ds.hierarchy.depth(v) for v in res.mu["value"]}
         assert res.truths.equals(_loop_select(res.mu, depth_of, threshold))
 
-    def test_matches_loop_with_depth_of(self, ds, anc):
+    def test_matches_loop_with_depth_of(self, ds):
         # few distinct depths, so the belief and value tie-breaks decide
         depth_of = {v: len(v) % 3 for v in ds.records["value"].unique()}
-        res = asums(ds.records, anc_pairs=anc, hierarchy=ds.hierarchy)
-        p = ClaimLayout(ds.records, None, anc).problem
+        res = asums(ds.records, hierarchy=ds.hierarchy)
+        p = ClaimLayout(ds.records, None, ds.hierarchy).problem
         truths = select_truths(p, res.mu["mu"].to_numpy(), depth_of, 0.4)
         assert truths.equals(_loop_select(res.mu, depth_of, 0.4))
 
@@ -704,10 +729,9 @@ class TestASUMSSelection:
             columns=["object", "source", "value"],
         )
         depth_of = {"a": 0, "b": 0}
-        no_anc = pd.DataFrame(columns=["object", "value", "anc"])
         h = Hierarchy({"ROOT": None, "a": "ROOT", "b": "ROOT"})
-        res = asums(recs, anc_pairs=no_anc, hierarchy=h)
-        p = ClaimLayout(recs, None, no_anc).problem
+        res = asums(recs, hierarchy=h)
+        p = ClaimLayout(recs, None, h).problem
         truths = select_truths(p, res.mu["mu"].to_numpy(), depth_of, 0.4)
         assert dict(zip(truths["object"], truths["value"])) == {"o1": "a", "o2": "a"}
         assert truths.equals(_loop_select(res.mu, depth_of, 0.4))

@@ -49,7 +49,8 @@ class TestResultHelpers:
 
     def test_optional_fields_default_none(self, mu):
         res = InferenceResult(truths=argmax_truths(mu), mu=mu)
-        assert res.phi is None and res.psi is None and res.N is None
+        assert res.phi is None and res.psi is None and res.D is None
+        assert not hasattr(res, "N")
 
     def test_extras_is_fresh_dict(self, mu):
         a = InferenceResult(truths=argmax_truths(mu), mu=mu)

@@ -157,7 +157,7 @@ def reference_loop(ds, infer, assign, rounds, n_workers, k, seed):
     return pd.DataFrame(history), answers, anc, res
 
 
-FINAL_FIELDS = ("truths", "mu", "phi", "psi", "N", "D", "worker_accuracy")
+FINAL_FIELDS = ("truths", "mu", "phi", "psi", "D", "worker_accuracy")
 
 
 @pytest.mark.parametrize(

@@ -109,12 +109,6 @@ class TestEMInvariants:
     def test_every_object_gets_truth(self, ds, res):
         assert set(res.truths["object"]) == set(ds.records["object"].unique())
 
-    def test_N_D_consistent_with_mu(self, res):
-        """Eq. (9): N and D are the numerator and denominator of the map
-        that produced mu, so mu = N/D to rounding."""
-        m = res.mu.merge(res.N, on=["object", "value"]).merge(res.D, on="object")
-        np.testing.assert_allclose(m["N"] / m["D"], m["mu"], rtol=1e-15, atol=0)
-
     def test_D_formula(self, ds, res):
         """D_o = |S_o| + |W_o| + |V_o| for gamma=2 (no answers here)."""
         s = ds.records.groupby("object").size()
@@ -259,7 +253,7 @@ class TestCompiledOnce:
             shared = tdh.fit_problem(p, answers)
             fresh = tdh.fit_problem(compile_problem(ds.records, anc), answers)
             for got in (shared, tdh.fit(ds.records, answers, anc)):
-                for name in ("truths", "mu", "phi", "psi", "N", "D", "worker_accuracy"):
+                for name in ("truths", "mu", "phi", "psi", "D", "worker_accuracy"):
                     a, b = getattr(got, name), getattr(fresh, name)
                     assert (a is None and b is None) or a.equals(b), name
                 assert got.extras["n_iter"] == fresh.extras["n_iter"]
@@ -414,6 +408,7 @@ class TestWorkerSide:
         res = _fit(recs, h, answers=answers)
         assert list(res.psi["worker"]) == ["w1"]
         assert np.allclose(res.psi[["psi1", "psi2", "psi3"]].sum(axis=1), 1.0)
+        assert res.worker_accuracy is None  # a TDH worker's accuracy is its psi1
 
     def test_answer_outside_candidates_rejected(self, h):
         recs = _records([("o1", "s1", "NY"), ("o1", "s2", "LA")])

@@ -86,16 +86,8 @@ class TestSparkLocalEquivalence:
 
     def test_nd_tables_match(self, fits25):
         loc, sp = fits25
-        n = loc.N.merge(sp.N, on=["object", "value"], suffixes=("_l", "_s"))
-        assert float((n["N_l"] - n["N_s"]).abs().max()) < 1e-8
         d = loc.D.merge(sp.D, on="object", suffixes=("_l", "_s"))
         assert float((d["D_l"] - d["D_s"]).abs().max()) < 1e-12
-
-    def test_N_D_consistent_with_mu(self, fits25):
-        """Eq. (9) on both engines: mu = N/D to rounding."""
-        for res in fits25:
-            m = res.mu.merge(res.N, on=["object", "value"]).merge(res.D, on="object")
-            np.testing.assert_allclose(m["N"] / m["D"], m["mu"], rtol=1e-15, atol=0)
 
     def test_eai_assignment_matches(self, fits25):
         """The path of jobs/assign_tasks.py: Algorithm 1 on a Spark fit."""
@@ -171,7 +163,6 @@ def test_empty_blocks(spark):
     )
     for a, b, cols in (
         (loc.mu, sp.mu, ["mu"]),
-        (loc.N, sp.N, ["N"]),
         (loc.D, sp.D, ["D"]),
         (loc.phi, sp.phi, ["phi1", "phi2", "phi3"]),
         (loc.psi, sp.psi, ["psi1", "psi2", "psi3"]),
